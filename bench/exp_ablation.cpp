@@ -33,7 +33,7 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 constexpr std::int64_t kStrongThreshold =
     priority_top_fraction(0.125);  // top 12.5% of the priority range
@@ -78,7 +78,7 @@ ArmResult run_arm(bool help_on, bool delays_on, bool stretch, int episodes,
   // the duration of its run(), so the attack must race into that window,
   // and every poll spent on an already-seen value wastes it).
   sim.add_process([&] {
-    Session<SimPlat> session(space->table());
+    Session<SimPlat> session(*space);
     auto proc = session.process();
     PlayerObserver<SimPlat> spy(session);
     const std::uint32_t ids[] = {0};

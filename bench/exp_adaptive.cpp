@@ -28,7 +28,7 @@ SuccessRate run_known(std::uint32_t kappa, std::uint32_t L, int attempts,
   cfg.max_thunk_steps = 2;
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
-  auto space = std::make_unique<LockSpace<SimPlat>>(
+  auto space = std::make_unique<LockTable<SimPlat>>(
       cfg, static_cast<int>(kappa), static_cast<int>(L));
   SuccessRate rate;
   std::vector<SuccessRate> per(kappa);
@@ -40,7 +40,7 @@ SuccessRate run_known(std::uint32_t kappa, std::uint32_t L, int attempts,
       for (std::uint32_t l = 0; l < L; ++l) ids.push_back(l);
       for (int a = 0; a < attempts; ++a) {
         per[p].add(space->try_locks(proc, ids,
-                                    typename LockSpace<SimPlat>::Thunk{}));
+                                    typename LockTable<SimPlat>::Thunk{}));
       }
     });
   }

@@ -20,7 +20,7 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 struct Row {
   std::string workload, schedule;

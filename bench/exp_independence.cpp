@@ -68,7 +68,7 @@ struct IndepResult {
 IndepResult run_independence(int procs, int victim_attempts,
                              std::uint64_t seed) {
   const LockConfig cfg = one_lock_cfg(static_cast<std::uint32_t>(procs));
-  LockSpace<SimPlat> space(cfg, procs, 1);
+  LockTable<SimPlat> space(cfg, procs, 1);
   auto counter = std::make_unique<Cell<SimPlat>>(0u);
   Cell<SimPlat>* cnt = counter.get();
   std::atomic<bool> stop{false};  // raw control flag, not model state
@@ -122,7 +122,7 @@ AdaptResult run_adaptivity(int procs_total, int k, int victim_attempts,
                            std::uint64_t seed) {
   const LockConfig cfg =
       one_lock_cfg(static_cast<std::uint32_t>(procs_total));
-  LockSpace<SimPlat> space(cfg, procs_total, 2);
+  LockTable<SimPlat> space(cfg, procs_total, 2);
   auto c0 = std::make_unique<Cell<SimPlat>>(0u);
   auto c1 = std::make_unique<Cell<SimPlat>>(0u);
   Cell<SimPlat>* cell0 = c0.get();

@@ -25,7 +25,7 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 LockConfig phil_cfg() {
   LockConfig cfg;

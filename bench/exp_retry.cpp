@@ -17,7 +17,7 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 struct Result {
   RunningStat attempts_per_win;

@@ -21,7 +21,7 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 struct ConfigResult {
   std::uint32_t kappa, locks, thunk;

@@ -23,8 +23,9 @@ constexpr int kAccounts = 16;
 constexpr int kOpsPerThread = 3000;
 constexpr std::uint32_t kInitial = 1000;
 
+// Returns whether the audited total was conserved.
 template <typename RunOp>
-double run_workload(const char* name, RunOp&& run_op,
+bool run_workload(const char* name, RunOp&& run_op,
                     std::uint64_t expected_total,
                     const std::function<std::uint64_t()>& audit) {
   const auto start = std::chrono::steady_clock::now();
@@ -51,7 +52,7 @@ double run_workload(const char* name, RunOp&& run_op,
               kThreads * kOpsPerThread / secs,
               static_cast<unsigned long long>(total),
               total == expected_total ? "(conserved)" : "(LOST MONEY!)");
-  return secs;
+  return total == expected_total;
 }
 
 }  // namespace
@@ -60,6 +61,7 @@ int main() {
   using Plat = wfl::RealPlat;
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kInitial) * kAccounts;
+  bool ok = true;
 
   {  // wflock, practical mode — retry failed attempts
     wfl::LockConfig cfg;
@@ -67,11 +69,11 @@ int main() {
     cfg.max_locks = 2;
     cfg.max_thunk_steps = 8;
     cfg.delay_mode = wfl::DelayMode::kOff;
-    wfl::LockSpace<Plat> space(cfg, kThreads, kAccounts);
+    wfl::LockTable<Plat> space(cfg, kThreads, kAccounts);
     wfl::Bank<Plat> bank(space, kAccounts, kInitial);
     std::vector<wfl::Session<Plat>> sessions;
     for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
-    run_workload(
+    ok &= run_workload(
         "wflock",
         [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
           while (!bank.try_transfer(sessions[t], a, b, amt)) {
@@ -87,11 +89,11 @@ int main() {
     cfg.delay_mode = wfl::DelayMode::kTheory;
     cfg.c0 = 4.0;
     cfg.c1 = 4.0;
-    wfl::LockSpace<Plat> space(cfg, kThreads, kAccounts);
+    wfl::LockTable<Plat> space(cfg, kThreads, kAccounts);
     wfl::Bank<Plat> bank(space, kAccounts, kInitial);
     std::vector<wfl::Session<Plat>> sessions;
     for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
-    run_workload(
+    ok &= run_workload(
         "wflock(fair)",
         [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
           while (!bank.try_transfer(sessions[t], a, b, amt)) {
@@ -107,7 +109,7 @@ int main() {
     }
     std::vector<wfl::BasicSession<wfl::TurekLockSpace<Plat>>> sessions;
     for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
-    run_workload(
+    ok &= run_workload(
         "turek",
         [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
           wfl::Cell<Plat>& src = *accounts[a];
@@ -131,7 +133,7 @@ int main() {
   {  // std::mutex ordered 2PL
     wfl::Mutex2PL locks(kAccounts);
     std::vector<std::uint32_t> balances(kAccounts, kInitial);
-    run_workload(
+    ok &= run_workload(
         "mutex2pl",
         [&](int, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
           const std::uint32_t ids[] = {a, b};
@@ -148,5 +150,6 @@ int main() {
           return sum;
         });
   }
-  return 0;
+  std::printf("%s\n", ok ? "OK" : "FAIL");
+  return ok ? 0 : 1;
 }

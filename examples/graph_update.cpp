@@ -59,7 +59,7 @@ int main() {
   cfg.delay_mode = wfl::DelayMode::kOff;
   // +1 process slot: the main thread registers for the final stabilization
   // sweeps after the workers join.
-  wfl::LockSpace<Plat> space(cfg, kThreads + 1, kVertices);
+  wfl::LockTable<Plat> space(cfg, kThreads + 1, kVertices);
 
   // color[v] == 0 means uncolored; colors are 1..kMaxDegree+1.
   std::vector<std::unique_ptr<wfl::Cell<Plat>>> color;
@@ -186,9 +186,9 @@ int main() {
   std::printf("recolor wins: %llu, tryLock attempts: %llu\n",
               static_cast<unsigned long long>(recolors.load()),
               static_cast<unsigned long long>(attempts.load()));
-  std::printf("%s\n", proper && max_color <= kMaxDegree + 1
-                          ? "OK: proper coloring via neighborhood-atomic "
-                            "updates"
-                          : "MISMATCH: improper coloring");
-  return proper ? 0 : 1;
+  const bool ok = proper && max_color <= kMaxDegree + 1;
+  std::printf("%s\n", ok ? "OK: proper coloring via neighborhood-atomic "
+                           "updates"
+                         : "MISMATCH: improper coloring");
+  return ok ? 0 : 1;
 }

@@ -37,7 +37,9 @@
 // Dekker: producer does push-then-read-state, worker does
 // set-idle-then-probe-inbox; in the seq_cst total order one side must
 // see the other, so either the producer posts or the worker's probe
-// finds the push. Workers that wake ops into their OWN deque mid-cycle
+// finds the push. A push-less signal has no push to find; it is covered
+// by park() reading its wake sequence before announcing idle (DESIGN.md
+// §8.3). Workers that wake ops into their OWN deque mid-cycle
 // hand a steal target to one idle sibling (best-effort — a missed
 // sibling wake costs parallelism for one cycle, never progress, because
 // an owner drains its own deque before it can ever park).
@@ -1079,18 +1081,22 @@ class AsyncExecutor {
     tls = TlsWorker{};
   }
 
-  // Commit to sleep, then re-probe. The kWkIdle store and the inbox
-  // probe are both seq_cst — the worker half of the sleep Dekker (see
-  // wake_worker). Only the inbox needs re-probing: the own deque has no
-  // producer but us, and work landing at a PEER wakes that peer;
-  // stealing is load-shedding, not the wake path. The futex layer
-  // beneath (prepare/wait vs. post) covers the signal-after-probe
-  // window the same way it always has.
+  // Eventcount order: prepare, announce, re-probe, wait. The kWkIdle
+  // store and the inbox probe are both seq_cst — the worker half of the
+  // sleep Dekker (see wake_worker). Only the inbox needs re-probing: the
+  // own deque has no producer but us, and work landing at a PEER wakes
+  // that peer; stealing is load-shedding, not the wake path. prepare()
+  // must come before the kWkIdle store: every kWkIdle -> kWkSignalled
+  // CAS reads that store, so its post() advances the sequence past
+  // `seen` and the wait returns. Prepared after the store, a push-less
+  // signal (wake_one_idle) landing in between would be absorbed by
+  // `seen`, and the worker would sleep in kWkSignalled — which dispatch
+  // treats as awake and wake_worker as already owed a post.
   void park(Worker& self) {
+    const std::uint32_t seen = self.wake.prepare();
     self.state.store(kWkIdle, std::memory_order_seq_cst);
     WFL_CHK_ATOMIC(&self.state, kStore, seq_cst, kWkrState, kWkIdle);
     idle_workers_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint32_t seen = self.wake.prepare();
     if (self.inbox.empty() && !stopping_.load(std::memory_order_acquire)) {
       self.wake.wait(seen);
     }

@@ -1,19 +1,15 @@
 // The executor: one submission API over every acquisition path.
 //
-// The library used to expose four divergent entry points for "run this
-// bounded thunk under these locks": LockTable::try_locks (one attempt),
-// retry_until_success (loop until a win), PreparedTxn::try_run/run (the
-// same two again, for composed transactions) and AdaptiveLockSpace's own
-// try_locks — each with its own accounting struct. submit() collapses them
-// into a single shape:
+// "Run this bounded thunk under these locks" has one shape for every
+// space (LockTable, AdaptiveLockSpace) and every caller, composed
+// transactions included:
 //
 //   Outcome o = submit(session, locks, thunk, Policy::retry());
 //
 // where Policy picks one-shot / capped / until-success (plus an optional
-// backoff knob for DelayMode::kOff deployments) and Outcome unifies
-// AttemptInfo and RetryStats: every path reports attempts, own steps and
-// the last attempt's pre/post-reveal work the same way, so experiment
-// harnesses and applications stop translating between accounting schemes.
+// backoff knob for DelayMode::kOff deployments) and Outcome extends
+// AttemptInfo across attempts: every path reports attempts, own steps and
+// the last attempt's pre/post-reveal work the same way.
 //
 // Progress semantics are inherited, not invented here: a single attempt is
 // wait-free in O(κ²L²T) own steps (Theorem 1.1), and the until-success
@@ -79,9 +75,9 @@ struct Policy {
   }
 };
 
-// Unified accounting: AttemptInfo + RetryStats in one struct. One-shot
-// submissions fill it exactly like try_locks fills AttemptInfo; retrying
-// submissions accumulate exactly like retry_until_success.
+// Unified accounting. One-shot submissions fill it exactly like try_locks
+// fills AttemptInfo; retrying submissions sum attempts and own steps over
+// every attempt, the winner included.
 struct Outcome {
   bool won = false;               // did any attempt win all its locks?
   std::uint64_t attempts = 0;     // attempts consumed, including the winner

@@ -3,7 +3,7 @@
 // Every mutable word a tryLock attempt touches outside the algorithm's own
 // shared CASes lives here, on cachelines owned by exactly one process:
 //
-//   * StatsSlab — the striped statistics counters. The monolithic LockSpace
+//   * StatsSlab — the striped statistics counters. The monolithic lock space
 //     kept seven process-shared std::atomic counters that every attempt
 //     fetch_add-ed; under contention those seven words were the hottest
 //     cachelines in the system and had nothing to do with the algorithm.

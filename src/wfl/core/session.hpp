@@ -23,9 +23,8 @@
 //     underlying per-shard guard depths are.
 //
 // BasicSession is parameterized over the space type so the same RAII shape
-// serves the known-bounds LockTable and the §6.2 AdaptiveLockSpace (and
-// the LockSpace facade, which forwards the registration API). `Session<
-// Plat>` is the alias virtually all code wants.
+// serves the known-bounds LockTable and the §6.2 AdaptiveLockSpace.
+// `Session<Plat>` is the alias virtually all code wants.
 #pragma once
 
 #include <utility>
@@ -113,9 +112,7 @@ class BasicSession {
 template <typename Space>
 BasicSession(Space&) -> BasicSession<Space>;
 
-// The session type for the known-bounds lock table. A LockSpace facade
-// converts implicitly to LockTable&, so `Session<Plat> s(space)` works
-// for either.
+// The session type for the known-bounds lock table.
 template <typename Plat>
 using Session = BasicSession<LockTable<Plat>>;
 

@@ -27,7 +27,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 enum class SchedKind { kRoundRobin, kUniform, kStallBurst, kWeighted };
 enum class Mode { kTheory, kNoDelays, kNoHelp, kBare };

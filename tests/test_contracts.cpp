@@ -7,7 +7,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<RealPlat>;
+using Space = LockTable<RealPlat>;
 
 LockConfig tiny_cfg() {
   LockConfig cfg;

@@ -31,7 +31,7 @@ namespace wfl {
 using test::TestPlat;
 namespace {
 
-using Space = LockSpace<TestPlat>;
+using Space = LockTable<TestPlat>;
 
 // Runs the simulation until every non-victim process finished (or the slot
 // budget is exhausted). A plain `required_finishers = procs - victims` is
@@ -283,7 +283,7 @@ TEST(Crash, PhilosopherNeighborsOfCrashedStillEat) {
 // segment: the victim holds no EBR guard there, so reclamation keeps
 // flowing and survivors' pools do not balloon. (The work-segment crash case
 // is exercised by the sweep above; this pins the guard-release design
-// decision documented in lock_space.hpp.)
+// decision documented in lock_table.hpp.)
 TEST(Crash, CrashInsideDelayDoesNotStallReclamation) {
   const int procs = 4;
   LockConfig cfg = crash_cfg(4, 2);

@@ -12,7 +12,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 struct FairnessResult {
   SuccessRate overall;

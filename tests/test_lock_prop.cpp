@@ -12,7 +12,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 enum class SchedKind { kRoundRobin, kUniform, kWeighted, kStallBurst };
 

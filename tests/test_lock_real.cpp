@@ -13,7 +13,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<RealPlat>;
+using Space = LockTable<RealPlat>;
 
 struct RealStress {
   int threads = 4;

@@ -15,7 +15,7 @@ namespace wfl {
 using test::TestPlat;
 namespace {
 
-using Space = LockSpace<TestPlat>;
+using Space = LockTable<TestPlat>;
 
 struct SimWorkload {
   // Each process repeatedly tryLocks a lock set chosen by `pick` and runs a

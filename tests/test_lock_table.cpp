@@ -206,34 +206,6 @@ TEST(LockTable, HandleWorksAcrossShardsAndGuardsAreReentrant) {
   t.ebr_exit(p0);
 }
 
-// The facade still composes with everything that now takes the table layer:
-// a LockSpace flows into substrate constructors, txn and retry unchanged.
-TEST(LockTable, FacadeConvertsToTable) {
-  LockSpace<RealPlat> space(cfg_for(1, 2, 24), 1, 8);
-  EXPECT_EQ(space.num_shards(), 1u);
-  Table& t = space;  // implicit conversion
-  EXPECT_EQ(t.num_locks(), 8);
-
-  auto proc = space.register_process();
-  auto cell = std::make_unique<Cell<RealPlat>>(0u);
-  Cell<RealPlat>* cp = cell.get();
-  TxnBuilder<RealPlat> b;
-  const std::uint32_t ids[] = {0, 1};
-  b.op(ids, [cp](IdemCtx<RealPlat>& m) { m.store(*cp, m.load(*cp) + 1); });
-  auto txn = std::move(b).build();
-  const RetryStats rs = txn.run(space, proc);
-  EXPECT_TRUE(rs.success);
-  EXPECT_EQ(cell->peek(), 1u);
-
-  const std::uint32_t one[] = {2};
-  const RetryStats rr = retry_until_success<RealPlat>(
-      space, proc, one, [cp](IdemCtx<RealPlat>& m) {
-        m.store(*cp, m.load(*cp) + 1);
-      });
-  EXPECT_TRUE(rr.success);
-  EXPECT_EQ(cell->peek(), 2u);
-}
-
 // Allocation locality: once the per-process slot caches and the EBR
 // pipeline are warm, a steady-state uncontended single-lock workload must
 // perform ZERO shared-freelist transactions — descriptor and snapshot

@@ -24,7 +24,7 @@ namespace {
 
 using race::RaceEngine;
 using Mutation = RaceEngine::Mutation;
-using Space = LockSpace<CheckedPlat>;
+using Space = LockTable<CheckedPlat>;
 
 // A small contended workload: every process hammers the same lock set and
 // bumps a per-resource counter through the idempotent cell — enough traffic

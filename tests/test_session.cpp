@@ -8,9 +8,9 @@
 //     whole submit() (the attempt path shares the depth counters);
 //   * StaticLockSet — sort + dedup + budget checks at construction;
 //   * Policy equivalence — submit() one-shot reproduces try_locks'
-//     AttemptInfo accounting exactly, and Policy::retry() reproduces
-//     retry_until_success's RetryStats accounting exactly, step for step,
-//     under the deterministic sim platform.
+//     AttemptInfo accounting exactly, and Policy::retry() reproduces a
+//     hand-written try_locks retry loop's attempt and step sums exactly,
+//     step for step, under the deterministic sim platform.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -34,7 +34,7 @@ LockConfig practical_cfg(int procs) {
 // --- Session RAII lifecycle ----------------------------------------------
 
 TEST(Session, ReleasedSlotIsReusedByTheNextSession) {
-  LockSpace<RealPlat> space(practical_cfg(2), 2, 4);
+  LockTable<RealPlat> space(practical_cfg(2), 2, 4);
   int first_pid = -1;
   {
     Session<RealPlat> s(space);
@@ -49,7 +49,7 @@ TEST(Session, ReleasedSlotIsReusedByTheNextSession) {
 TEST(Session, BoundedProcsServeUnboundedSessionGenerations) {
   // max_procs = 1: without slot reuse the second registration would blow
   // the EBR participant capacity. Sequential sessions must keep working.
-  LockSpace<RealPlat> space(practical_cfg(1), 1, 2);
+  LockTable<RealPlat> space(practical_cfg(1), 1, 2);
   Cell<RealPlat> x{0};
   for (int gen = 0; gen < 8; ++gen) {
     Session<RealPlat> s(space);
@@ -67,7 +67,7 @@ TEST(Session, BoundedProcsServeUnboundedSessionGenerations) {
 }
 
 TEST(Session, MoveTransfersOwnershipOfTheRegistration) {
-  LockSpace<RealPlat> space(practical_cfg(2), 2, 4);
+  LockTable<RealPlat> space(practical_cfg(2), 2, 4);
   Session<RealPlat> a(space);
   const int pid = a.pid();
   Session<RealPlat> b(std::move(a));
@@ -84,11 +84,10 @@ TEST(Session, MoveTransfersOwnershipOfTheRegistration) {
   EXPECT_EQ(c.pid(), pid);
 }
 
-TEST(Session, WorksOverTableFacadeAndAdaptiveSpace) {
-  // The same BasicSession shape serves all three space types.
-  LockSpace<RealPlat> space(practical_cfg(2), 2, 2);
-  Session<RealPlat> via_facade(space);           // implicit conversion
-  BasicSession via_table(space.table());         // CTAD on the table
+TEST(Session, WorksOverTableAndAdaptiveSpace) {
+  // The same BasicSession shape serves both space types.
+  LockTable<RealPlat> space(practical_cfg(2), 2, 2);
+  BasicSession via_table(space);  // CTAD on the table
   static_assert(std::is_same_v<decltype(via_table), Session<RealPlat>>);
 
   AdaptiveLockSpace<RealPlat> adaptive(2, 2);
@@ -127,7 +126,7 @@ TEST(Session, CrashParkedSessionIsAbandonedNotRecycled) {
     cfg.max_thunk_steps = 4;
     cfg.c0 = 8.0;
     cfg.c1 = 8.0;
-    LockSpace<SimPlat> space(cfg, 3, 1);
+    LockTable<SimPlat> space(cfg, 3, 1);
     Simulator sim(crash_slot + 7);
     int victim_pid = -1;
     bool victim_finished = false;
@@ -179,7 +178,7 @@ TEST(Session, CrashParkedSessionIsAbandonedNotRecycled) {
 // --- EbrGuard -------------------------------------------------------------
 
 TEST(Session, EbrGuardNestsAndWrapsAttempts) {
-  LockSpace<RealPlat> space(practical_cfg(1), 1, 4);
+  LockTable<RealPlat> space(practical_cfg(1), 1, 4);
   Session<RealPlat> s(space);
   Cell<RealPlat> x{0};
   const StaticLockSet<2> locks{0, 1};
@@ -255,7 +254,7 @@ TEST(Contracts, LockSetOverLBudgetFailsLoudly) {
 }
 
 TEST(Contracts, SubmitChecksTheLBudgetOnce) {
-  LockSpace<RealPlat> space(practical_cfg(1), 1, 8);
+  LockTable<RealPlat> space(practical_cfg(1), 1, 8);
   Session<RealPlat> s(space);
   // A capacity-4 set of 3 locks against max_locks = 2: the view carries 3
   // ids, and submit's single boundary check must reject it.
@@ -285,10 +284,10 @@ TEST(PolicyEquivalence, OneShotReproducesTryLocksAccounting) {
   const int procs = 3;
   const int attempts_each = 12;
 
-  // Arm A: the raw veneer, recording AttemptInfo per attempt.
+  // Arm A: raw try_locks, recording AttemptInfo per attempt.
   std::vector<std::vector<AttemptInfo>> infos(procs);
   {
-    LockSpace<SimPlat> space(sim_cfg(procs), procs, 1);
+    LockTable<SimPlat> space(sim_cfg(procs), procs, 1);
     Simulator sim(91);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
@@ -313,7 +312,7 @@ TEST(PolicyEquivalence, OneShotReproducesTryLocksAccounting) {
   // Arm B: identical seeds and schedule, through Session + submit().
   std::vector<std::vector<Outcome>> outcomes(procs);
   {
-    LockSpace<SimPlat> space(sim_cfg(procs), procs, 1);
+    LockTable<SimPlat> space(sim_cfg(procs), procs, 1);
     Simulator sim(91);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
@@ -350,15 +349,15 @@ TEST(PolicyEquivalence, OneShotReproducesTryLocksAccounting) {
   EXPECT_GT(total_wins, 0u);
 }
 
-// submit(Policy::retry()) must reproduce retry_until_success — same
-// attempt counts, same summed steps, call for call.
+// submit(Policy::retry()) must reproduce a plain try_locks retry loop —
+// same attempt counts, same summed steps, call for call.
 TEST(PolicyEquivalence, RetryReproducesRetryUntilSuccessAccounting) {
   const int procs = 3;
   const int calls_each = 8;
 
-  std::vector<std::vector<RetryStats>> stats(procs);
+  std::vector<std::vector<Outcome>> stats(procs);
   {
-    LockSpace<SimPlat> space(sim_cfg(procs), procs, 1);
+    LockTable<SimPlat> space(sim_cfg(procs), procs, 1);
     Simulator sim(137);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
@@ -367,11 +366,17 @@ TEST(PolicyEquivalence, RetryReproducesRetryUntilSuccessAccounting) {
         auto x = std::make_shared<Cell<SimPlat>>(0u);
         for (int c = 0; c < calls_each; ++c) {
           Cell<SimPlat>* xp = x.get();
-          stats[static_cast<std::size_t>(p)].push_back(
-              retry_until_success<SimPlat>(
-                  space, proc, ids, [xp](IdemCtx<SimPlat>& m) {
-                    m.store(*xp, m.load(*xp) + 1);
-                  }));
+          Outcome ref;
+          while (!ref.won) {
+            AttemptInfo info;
+            ref.won = space.try_locks(
+                proc, ids,
+                [xp](IdemCtx<SimPlat>& m) { m.store(*xp, m.load(*xp) + 1); },
+                &info);
+            ++ref.attempts;
+            ref.total_steps += info.total_steps;
+          }
+          stats[static_cast<std::size_t>(p)].push_back(ref);
         }
       });
     }
@@ -381,7 +386,7 @@ TEST(PolicyEquivalence, RetryReproducesRetryUntilSuccessAccounting) {
 
   std::vector<std::vector<Outcome>> outcomes(procs);
   {
-    LockSpace<SimPlat> space(sim_cfg(procs), procs, 1);
+    LockTable<SimPlat> space(sim_cfg(procs), procs, 1);
     Simulator sim(137);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
@@ -407,7 +412,7 @@ TEST(PolicyEquivalence, RetryReproducesRetryUntilSuccessAccounting) {
     const auto& ob = outcomes[static_cast<std::size_t>(p)];
     ASSERT_EQ(ra.size(), ob.size());
     for (std::size_t k = 0; k < ra.size(); ++k) {
-      EXPECT_EQ(ob[k].won, ra[k].success) << "proc " << p << " call " << k;
+      EXPECT_EQ(ob[k].won, ra[k].won) << "proc " << p << " call " << k;
       EXPECT_EQ(ob[k].attempts, ra[k].attempts);
       EXPECT_EQ(ob[k].total_steps, ra[k].total_steps);
       multi_attempt_calls += ob[k].attempts > 1 ? 1 : 0;
@@ -427,7 +432,7 @@ TEST(PolicyEquivalence, BackoffOnlyAppliesWithDelaysOff) {
     std::uint64_t retried_calls = 0;
     LockConfig cfg = sim_cfg(procs);
     cfg.delay_mode = mode;
-    LockSpace<SimPlat> space(cfg, procs, 1);
+    LockTable<SimPlat> space(cfg, procs, 1);
     Simulator sim(53);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {

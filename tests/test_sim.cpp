@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "wfl/platform/sim.hpp"
-#include "wfl/sim/fiber.hpp"
 #include "wfl/sim/sim.hpp"
+#include "wfl/util/fiber.hpp"
 
 namespace wfl {
 namespace {

@@ -13,7 +13,7 @@ TEST(Smoke, SingleAttemptRealPlat) {
   cfg.max_locks = 2;
   cfg.max_thunk_steps = 4;
   cfg.delay_mode = DelayMode::kOff;
-  LockSpace<RealPlat> space(cfg, /*max_procs=*/2, /*num_locks=*/4);
+  LockTable<RealPlat> space(cfg, /*max_procs=*/2, /*num_locks=*/4);
   auto proc = space.register_process();
 
   Cell<RealPlat> counter{10};
@@ -31,7 +31,7 @@ TEST(Smoke, SingleAttemptSimPlat) {
   cfg.kappa = 2;
   cfg.max_locks = 1;
   cfg.max_thunk_steps = 4;
-  LockSpace<SimPlat> space(cfg, 2, 2);
+  LockTable<SimPlat> space(cfg, 2, 2);
   auto proc = space.register_process();
   Cell<SimPlat> counter{0};
 
@@ -52,7 +52,7 @@ TEST(Smoke, SingleAttemptSimPlat) {
 TEST(Smoke, EmptyLockSetRunsThunkImmediately) {
   LockConfig cfg;
   cfg.delay_mode = DelayMode::kOff;
-  LockSpace<RealPlat> space(cfg, 1, 1);
+  LockTable<RealPlat> space(cfg, 1, 1);
   auto proc = space.register_process();
   Cell<RealPlat> c{0};
   EXPECT_TRUE(space.try_locks(proc, {}, [&](IdemCtx<RealPlat>& m) {
