@@ -20,9 +20,7 @@
 //   Scaling_MultiLock/contention:high    L=2 attempts over a 4-lock pool
 //   Scaling_BatchSubmit/contention:low   batches of 32 single-lock
 //                                        PreparedOps through submit_batch
-//                                        (guard amortization) — absent
-//                                        when built against a pre-batch
-//                                        tree (WFL_HAS_SUBMIT_BATCH)
+//                                        (guard amortization)
 //
 // Counters (additive wfl-bench-v1 keys):
 //   attempts_per_op            tryLock attempts per completed operation
@@ -308,7 +306,6 @@ void multi_lock_bench(benchmark::State& state, const std::string& base_name,
   report(state, base_name, sums, lat_ns);
 }
 
-#ifdef WFL_HAS_SUBMIT_BATCH
 // Batches of 32 single-lock PreparedOps per iteration through
 // submit_batch: the guard-amortized path. Ops/s counts individual ops, so
 // the entry is directly comparable with Scaling_SingleLock.
@@ -359,7 +356,6 @@ void batch_submit_bench(benchmark::State& state,
   }
   report(state, base_name, sums, lat_ns);
 }
-#endif  // WFL_HAS_SUBMIT_BATCH
 
 int max_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -394,7 +390,6 @@ void register_scaling_benchmarks() {
     b->UseRealTime();
     for (int t = 1; t <= max_threads(); t *= 2) b->Threads(t);
   }
-#ifdef WFL_HAS_SUBMIT_BATCH
   {
     const std::string name = "Scaling_BatchSubmit/contention:low";
     auto* b = benchmark::RegisterBenchmark(
@@ -403,7 +398,6 @@ void register_scaling_benchmarks() {
     b->UseRealTime();
     for (int t = 1; t <= max_threads(); t *= 2) b->Threads(t);
   }
-#endif
 }
 
 }  // namespace

@@ -18,13 +18,14 @@
 //              helping): they always complete, but a single op can do
 //              unbounded helping work; lock-free, not wait-free.
 //   spin2pl    Policy::retry() submissions (the discipline's honest unit
-//              of work): a waiter behind the frozen lock holder keeps
-//              burning patience-bounded attempts for the whole burst —
-//              caller steps grow linearly with it, the failure mode
-//              wait-freedom exists to kill.
+//              of work): a waiter behind a frozen lock holder keeps
+//              burning bounded-spin attempts for as long as the holder
+//              stays frozen — the failure mode wait-freedom exists to
+//              kill. How visibly its tail tracks the stalls depends on
+//              how often a burst lands mid-critical-section.
 //
 // The one-line verdict of the experiment: as burst grows 30x, wflock's max
-// stays flat at its delay budget while spin2pl's max tracks the burst.
+// stays flat at its delay budget; no schedule can push it higher.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -62,7 +63,7 @@ struct Collector {
 // submission's Outcome::total_steps: a single attempt for the bounded
 // disciplines (wait-free / helping), a full retry-until-success operation
 // for the blocking one — its own honest unit, since a lost blocking
-// "attempt" is just the patience knob, not the discipline.
+// "attempt" is just its bounded spin, not the discipline.
 template <typename B>
 Collector run_backend(std::uint64_t burst, int ops_per_proc,
                       std::uint64_t seed) {
@@ -126,8 +127,9 @@ int main_impl(int argc, char** argv) {
       stderr,
       "E11: per-submission caller-steps under StallBurst schedules, %d-proc "
       "ring (kappa=2, L=2, T=4). wflock per-attempt budget T0+T1 = %llu.\n"
-      "Wait-freedom: wflock max must stay ~flat as bursts grow; blocking "
-      "2PL max must track the burst length.\n\n",
+      "Wait-freedom: wflock max must stay ~flat as bursts grow; the "
+      "blocking 2PL tail tracks the stalls only when a burst lands "
+      "mid-critical-section.\n\n",
       kProcs, static_cast<unsigned long long>(budget));
 
   Table t({"backend", "burst", "n", "mean", "p50", "p99", "max",
@@ -167,9 +169,10 @@ int main_impl(int argc, char** argv) {
   std::fprintf(
       stderr,
       "\nReading: wflock rows keep the same max across bursts (the delay\n"
-      "budget dominates every attempt, win or lose). spin2pl's max grows\n"
-      "with the burst (a waiter burns attempts while the frozen neighbour\n"
-      "holds the lock). turek completes via helping but pays helping\n"
+      "budget dominates every attempt, win or lose). spin2pl's max moves\n"
+      "with the burst only when a burst freezes a lock holder (a waiter\n"
+      "then burns attempts until the neighbour thaws); compare its max\n"
+      "column across bursts. turek completes via helping but pays helping\n"
       "chains.\n");
   json.emit();
   return 0;

@@ -55,6 +55,27 @@ bool run_workload(const char* name, RunOp&& run_op,
   return total == expected_total;
 }
 
+// Bank transfers through backend B, retrying each until it lands.
+template <typename B>
+bool run_backend(std::uint64_t expected_total) {
+  wfl::BackendConfig bc;
+  bc.lock.kappa = kThreads;
+  bc.lock.max_locks = 2;
+  bc.lock.max_thunk_steps = 8;
+  bc.max_procs = kThreads;
+  bc.num_locks = kAccounts;
+  auto space = B::make_space(bc);
+  wfl::Bank<B> bank(*space, kAccounts, kInitial);
+  std::vector<typename B::Session> sessions;
+  for (int t = 0; t < kThreads; ++t) sessions.emplace_back(*space);
+  return run_workload(
+      B::name(),
+      [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
+        bank.transfer(sessions[t], a, b, amt, wfl::Policy::retry());
+      },
+      expected_total, [&] { return bank.total_balance(); });
+}
+
 }  // namespace
 
 int main() {
@@ -101,55 +122,9 @@ int main() {
         },
         expected, [&] { return bank.total_balance(); });
   }
-  {  // Turek-style lock-free locks
-    wfl::TurekLockSpace<Plat> space(kThreads, kAccounts);
-    std::vector<std::unique_ptr<wfl::Cell<Plat>>> accounts;
-    for (int i = 0; i < kAccounts; ++i) {
-      accounts.push_back(std::make_unique<wfl::Cell<Plat>>(kInitial));
-    }
-    std::vector<wfl::BasicSession<wfl::TurekLockSpace<Plat>>> sessions;
-    for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
-    ok &= run_workload(
-        "turek",
-        [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
-          wfl::Cell<Plat>& src = *accounts[a];
-          wfl::Cell<Plat>& dst = *accounts[b];
-          const std::uint32_t ids[] = {a, b};
-          space.apply(sessions[t].process(), ids,
-                      [&src, &dst, amt](wfl::IdemCtx<Plat>& m) {
-                        const std::uint32_t s = m.load(src);
-                        if (s >= amt) {
-                          m.store(src, s - amt);
-                          m.store(dst, m.load(dst) + amt);
-                        }
-                      });
-        },
-        expected, [&] {
-          std::uint64_t sum = 0;
-          for (const auto& a : accounts) sum += a->peek();
-          return sum;
-        });
-  }
-  {  // std::mutex ordered 2PL
-    wfl::Mutex2PL locks(kAccounts);
-    std::vector<std::uint32_t> balances(kAccounts, kInitial);
-    ok &= run_workload(
-        "mutex2pl",
-        [&](int, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
-          const std::uint32_t ids[] = {a, b};
-          locks.locked(ids, [&] {
-            if (balances[a] >= amt) {
-              balances[a] -= amt;
-              balances[b] += amt;
-            }
-          });
-        },
-        expected, [&] {
-          std::uint64_t sum = 0;
-          for (auto v : balances) sum += v;
-          return sum;
-        });
-  }
+  // The baselines run the same Bank substrate through their LockBackend.
+  ok &= run_backend<wfl::TurekBackend<Plat>>(expected);  // lock-free helping
+  ok &= run_backend<wfl::Mutex2plBackend>(expected);     // std::mutex 2PL
   std::printf("%s\n", ok ? "OK" : "FAIL");
   return ok ? 0 : 1;
 }

@@ -1,13 +1,22 @@
-// LockBackend adapter over Spin2PL: blocking ordered two-phase locking
-// with test-and-set spinlocks, behind the unified submit() shape.
+// Baseline: blocking ordered two-phase locking over test-and-set
+// spinlocks, behind the unified submit() shape.
+//
+// The classic practice the paper's locks are measured against: acquire
+// the lock set in ascending id order (deadlock freedom by global order —
+// a LockSetView is already sorted and duplicate-free), run the critical
+// section directly (no helping: mutual exclusion is by blocking), release
+// in reverse. Not wait-free, not fair: a preempted (or starved) lock
+// holder blocks everyone behind it — exactly the failure mode wait-free
+// locks remove.
 //
 // Policy mapping (the honest reading of an attempt-shaped blocking
 // discipline):
-//   * one attempt = try_locked with the space's bounded per-lock patience:
-//     it either acquires the whole sorted set or releases what it got and
-//     reports a loss — so attempts always terminate, but a *held* lock
-//     fails every attempt for as long as its holder sits on it (forever,
-//     if the holder crashed — the wedge exp_crash measures);
+//   * one attempt = a pass over the set giving each lock kPatience
+//     test-and-test-and-set spins: it either acquires the whole set or
+//     releases what it got and reports a loss — so attempts always
+//     terminate, but a *held* lock fails every attempt for as long as its
+//     holder sits on it (forever, if the holder crashed — the wedge
+//     exp_crash measures);
 //   * Policy::retry() keeps attempting with no bound: termination depends
 //     on the other holders, which is exactly the blocking semantics;
 //   * the backoff knob idles Plat::step()s between failed attempts.
@@ -22,9 +31,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "wfl/baseline/spin2pl.hpp"
 #include "wfl/core/backend.hpp"
+#include "wfl/util/align.hpp"
 
 namespace wfl {
 
@@ -32,41 +42,70 @@ template <typename Plat>
 struct Spin2plBackend {
   using Platform = Plat;
 
+  // Test-and-test-and-set spins per lock in one attempt.
+  static constexpr int kPatience = 4;
+
   class Space {
    public:
-    using Inner = Spin2PL<Plat>;
-
     explicit Space(const BackendConfig& cfg)
         : cfg_(cfg.lock),
           max_procs_(cfg.max_procs),
-          patience_(cfg.patience),
-          inner_(cfg.num_locks),
+          flags_(static_cast<std::size_t>(cfg.num_locks)),
           slots_(cfg.max_procs),
           idem_(cfg.max_procs) {
       cfg_.validate();
-      WFL_CHECK(patience_ >= 1);
+      WFL_CHECK(cfg.num_locks > 0);
+      for (auto& f : flags_) f->init(0);
     }
 
-    int num_locks() const { return inner_.num_locks(); }
+    int num_locks() const { return static_cast<int>(flags_.size()); }
     int max_procs() const { return max_procs_; }
     const LockConfig& config() const { return cfg_; }
-    int patience() const { return patience_; }
 
-    Inner& inner() { return inner_; }
     // Crash audit: a held flag after all live processes drained belongs to
     // a process that died inside its critical section.
-    bool any_held() const { return inner_.any_held(); }
+    bool any_held() const {
+      for (const auto& f : flags_) {
+        if (f->peek() != 0) return true;
+      }
+      return false;
+    }
 
     int acquire_pid() { return slots_.acquire(); }
     void release_pid(int pid) { slots_.release(pid); }
 
     IdemCtx<Plat> ctx_for(int pid) { return idem_.ctx_for(pid); }
 
+    // One attempt: every lock of `locks` (ascending) within kPatience
+    // spins each, or nothing.
+    bool try_acquire_all(LockSetView locks) {
+      for (std::uint32_t held = 0; held < locks.size(); ++held) {
+        if (!try_acquire(locks[held])) {
+          release_first(locks, held);
+          return false;
+        }
+      }
+      return true;
+    }
+
+    // Releases the first n locks of `locks`, in reverse.
+    void release_first(LockSetView locks, std::uint32_t n) {
+      for (std::uint32_t i = n; i > 0; --i) flags_[locks[i - 1]]->store(0);
+    }
+
    private:
+    bool try_acquire(std::uint32_t id) {
+      auto& f = *flags_[id];
+      for (int s = 0; s < kPatience; ++s) {
+        if (f.load() == 0 && f.cas(0, 1)) return true;
+      }
+      return false;
+    }
+
     LockConfig cfg_;
     int max_procs_;
-    int patience_;
-    Inner inner_;
+    std::vector<CachePadded<typename Plat::template Atomic<std::uint32_t>>>
+        flags_;
     ProcSlots slots_;
     ExclusiveIdem<Plat> idem_;
   };
@@ -84,20 +123,15 @@ struct Spin2plBackend {
   static Outcome submit(Session& session, LockSetView locks, const F& f,
                         Policy policy = Policy::one_shot()) {
     Space& space = session.space();
-    WFL_CHECK_MSG(locks.size() <= space.config().max_locks,
-                  "lock set exceeds the configured L bound");
+    check_submission(space, locks);
     const std::uint64_t before = Plat::steps();
     Outcome out;
     for (;;) {
       ++out.attempts;
-      const bool won = space.inner().try_locked(
-          locks,
-          [&] {
-            IdemCtx<Plat> m = space.ctx_for(session.pid());
-            f(m);
-          },
-          space.patience());
-      if (won) {
+      if (space.try_acquire_all(locks)) {
+        IdemCtx<Plat> m = space.ctx_for(session.pid());
+        f(m);
+        space.release_first(locks, locks.size());
         out.won = true;
         break;
       }

@@ -1,31 +1,48 @@
-// LockBackend adapter over TurekLockSpace: the §3 lock-free helping
-// baseline behind the unified submit() shape.
+// Baseline: lock-free locks with recursive helping, in the style of
+// Turek–Shasha–Prakash (PODS '92) and Barnes (SPAA '93) as recounted in §3
+// of the paper, behind the unified submit() shape.
+//
+// Each lock holds a pointer to the descriptor of its current owner. An
+// operation acquires its lock set in ascending id order (a LockSetView is
+// already sorted and duplicate-free) with CAS; when it finds a lock held,
+// it *helps*: it runs the owner's whole operation (recursively helping
+// whatever that owner is blocked on), then retries. Critical sections are
+// executed through the same idempotence construction the wait-free locks
+// use, so helpers replaying a thunk are harmless.
+//
+// Properties (faithful to the originals): lock-free — some operation always
+// completes; NOT wait-free — a given operation can help forever and lose
+// every race (no priorities, no fairness bound). This is the comparison
+// point that motivates the paper.
 //
 // Policy mapping (the honest reading of a lock-free discipline):
-//   * a Turek apply() is an *operation*, not an attempt — it always
-//     completes (possibly by being helped), so every submission reports
-//     won=true with attempts=1 and any max_attempts >= 1 is trivially
-//     satisfied; backoff never engages;
+//   * a submission is an *operation*, not an attempt — it always completes
+//     (possibly by being helped), so every submission reports won=true
+//     with attempts=1 and any max_attempts >= 1 is trivially satisfied;
+//     backoff never engages;
 //   * what is NOT bounded is the caller's own work: total_steps counts the
 //     recursive helping excursions, which is exactly the quantity the
 //     wait-free comparison experiments plot. pre/post_reveal_work stay 0 —
 //     there is no reveal step in this discipline.
 //
-// Sessions recycle the underlying EBR participants: TurekLockSpace never
-// recycles pids on its own (registration is monotonic up to max_procs), so
-// the adapter registers each slot's process lazily, once, and hands the
-// same handle to every later session on that slot. Releasing a slot drops
-// any guard held on the process's behalf (legal for the same reason
-// EbrDomain::abandon is: a destroyed session takes no further steps).
+// Session slot pid i is EBR participant i: all max_procs participants are
+// registered when the space is built. Releasing a slot drops any guard
+// held on the process's behalf (legal for the same reason EbrDomain::abandon
+// is: a destroyed session takes no further steps).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "wfl/baseline/turek.hpp"
 #include "wfl/core/backend.hpp"
+#include "wfl/core/descriptor.hpp"
+#include "wfl/idem/idem.hpp"
+#include "wfl/mem/arena.hpp"
+#include "wfl/mem/ebr.hpp"
+#include "wfl/util/fixed_function.hpp"
 
 namespace wfl {
 
@@ -35,52 +52,141 @@ struct TurekBackend {
 
   class Space {
    public:
-    using Inner = TurekLockSpace<Plat>;
-    using Process = typename Inner::Process;
+    struct Desc {
+      using Thunk = FixedFunction<void(IdemCtx<Plat>&), 64>;
+      std::uint32_t lock_ids[kMaxLocksPerAttempt] = {};  // ascending
+      std::uint32_t lock_count = 0;
+      Thunk thunk;
+      std::uint32_t tag_base = 0;
+      typename Plat::template Atomic<std::uint32_t> done;
+      ThunkLog<Plat> log;
+
+      void reinit(std::uint64_t serial) {
+        lock_count = 0;
+        thunk.reset();
+        tag_base = idem_tag_base(serial);  // never-zero, wrap-safe (idem.hpp)
+        done.init(0);
+        log.reset();
+      }
+    };
+    using Thunk = typename Desc::Thunk;
 
     explicit Space(const BackendConfig& cfg)
         : cfg_(cfg.lock),
           max_procs_(cfg.max_procs),
-          inner_(cfg.max_procs, cfg.num_locks),
-          slots_(cfg.max_procs),
-          procs_(static_cast<std::size_t>(cfg.max_procs)) {
+          desc_pool_(std::max(1024, cfg.max_procs * 128)),
+          ebr_(cfg.max_procs),
+          slots_(cfg.max_procs) {
       cfg_.validate();
+      WFL_CHECK(cfg.num_locks > 0);
+      owners_.resize(static_cast<std::size_t>(cfg.num_locks));
+      for (auto& o : owners_) o = std::make_unique<OwnerCell>();
+      for (int pid = 0; pid < max_procs_; ++pid) {
+        const int ebr_pid = ebr_.register_participant();
+        WFL_CHECK(ebr_pid == pid);
+      }
     }
 
-    int num_locks() const { return inner_.num_locks(); }
+    int num_locks() const { return static_cast<int>(owners_.size()); }
     int max_procs() const { return max_procs_; }
     const LockConfig& config() const { return cfg_; }
 
-    Inner& inner() { return inner_; }
-    std::uint64_t helps() const { return inner_.helps(); }
-
-    int acquire_pid() {
-      const int pid = slots_.acquire();
-      std::lock_guard<std::mutex> g(reg_mu_);
-      Process& p = procs_[static_cast<std::size_t>(pid)];
-      if (p.ebr_pid < 0) p = inner_.register_process();
-      return pid;
-    }
+    int acquire_pid() { return slots_.acquire(); }
 
     void release_pid(int pid) {
       // Drop any guard the slot's process may still hold (no-op when the
       // session ended in an orderly way); the slot then becomes reusable —
       // the previous holder provably takes no further steps.
-      inner_.release_process(process_of(pid));
+      ebr_.abandon(pid);
       slots_.release(pid);
     }
 
-    Process process_of(int pid) const {
-      return procs_[static_cast<std::size_t>(pid)];
+    // Crash-harness support: release `pid`'s EBR guard on its behalf.
+    // Legal ONLY when the process provably takes no further steps. See
+    // EbrDomain::abandon.
+    void abandon_process(int pid) { ebr_.abandon(pid); }
+
+    // Executes `thunk` under `locks` (ids checked by check_submission).
+    // Always succeeds (it is an operation, not an attempt) but may take
+    // unboundedly many of the caller's steps under contention — the
+    // lock-free-not-wait-free deal.
+    void apply(int pid, LockSetView locks, Thunk thunk) {
+      WFL_CHECK_MSG(locks.size() <= kMaxLocksPerAttempt,
+                    "lock set exceeds the shared per-attempt budget");
+      const std::uint32_t didx = desc_pool_.alloc();
+      Desc& d = desc_pool_.at(didx);
+      d.reinit(serial_.fetch_add(1, std::memory_order_relaxed));
+      d.lock_count = locks.size();
+      std::copy(locks.begin(), locks.end(), d.lock_ids);
+      d.thunk = std::move(thunk);
+
+      ebr_.enter(pid);
+      help(d, 0);
+      ebr_.exit(pid);
+      ebr_.retire(pid, this, didx, &free_descriptor);
     }
 
    private:
+    struct OwnerCell {
+      typename Plat::template Atomic<Desc*> owner{nullptr};
+    };
+
+    static void free_descriptor(void* ctx, std::uint32_t handle) {
+      static_cast<Space*>(ctx)->desc_pool_.free(handle);
+    }
+
+    // Drives `d` to completion: acquire remaining locks in order, helping
+    // (recursively) any current owner encountered. Depth is bounded by the
+    // number of processes — the helping chain d1→d2→… follows strictly
+    // increasing lock ids (each owner blocks on a lock above the ones it
+    // holds), so it cannot cycle.
+    void help(Desc& d, int depth) {
+      WFL_CHECK_MSG(depth < kMaxHelpDepth, "helping chain exceeded bound");
+      while (d.done.load() == 0) {
+        for (std::uint32_t i = 0; i < d.lock_count && d.done.load() == 0;
+             ++i) {
+          auto& cell = owners_[d.lock_ids[i]]->owner;
+          for (;;) {
+            Desc* cur = cell.load();
+            if (cur == &d) break;  // already ours (possibly via a helper)
+            if (d.done.load() != 0) break;
+            if (cur == nullptr) {
+              if (cell.cas(nullptr, &d)) break;
+              continue;  // lost the race; re-read
+            }
+            // Occupied: recursively help the owner finish, then retry.
+            // While d's status is not done, nothing releases locks already
+            // held for d (owner cells change only null→x and
+            // x→null-after-done), so held locks stay held across the
+            // helping excursion.
+            help(*cur, depth + 1);
+          }
+        }
+        if (d.done.load() == 0) {
+          if (d.thunk) {
+            IdemCtx<Plat> m(d.log, d.tag_base);
+            d.thunk(m);
+          }
+          d.done.store(1);
+        }
+      }
+      // Release: anyone (owner or helper) may clear; CAS keeps it exact.
+      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+        owners_[d.lock_ids[i]]->owner.cas(&d, nullptr);
+      }
+    }
+
+    static constexpr int kMaxHelpDepth = 128;
+
     LockConfig cfg_;
     int max_procs_;
-    Inner inner_;
+    // desc_pool_ outlives ebr_: the domain's teardown drains retired
+    // descriptors back into the pool.
+    IndexPool<Desc> desc_pool_;
+    EbrDomain ebr_;
+    std::vector<std::unique_ptr<OwnerCell>> owners_;
     ProcSlots slots_;
-    std::mutex reg_mu_;
-    std::vector<Process> procs_;
+    std::atomic<std::uint64_t> serial_{1};
   };
 
   using Session = SlotSession<Space>;
@@ -97,12 +203,10 @@ struct TurekBackend {
                         Policy policy = Policy::one_shot()) {
     (void)policy;  // always one winning operation; see header comment
     Space& space = session.space();
-    WFL_CHECK_MSG(locks.size() <= space.config().max_locks,
-                  "lock set exceeds the configured L bound");
+    check_submission(space, locks);
     const std::uint64_t before = Plat::steps();
-    typename Space::Inner::Thunk thunk{F(f)};
-    space.inner().apply(space.process_of(session.pid()), locks,
-                        std::move(thunk));
+    typename Space::Thunk thunk{F(f)};
+    space.apply(session.pid(), locks, std::move(thunk));
     Outcome out;
     out.won = true;
     out.attempts = 1;
@@ -113,7 +217,7 @@ struct TurekBackend {
   // Crash-harness hook: release the parked process's EBR guard on its
   // behalf (legal only when it provably takes no further steps).
   static void abandon(Space& space, const Session& session) {
-    space.inner().abandon_process(space.process_of(session.pid()));
+    space.abandon_process(session.pid());
   }
 };
 

@@ -118,10 +118,6 @@
 #include "wfl/util/fiber.hpp"
 #include "wfl/util/work_queue.hpp"
 
-// Capability probe for drivers that sweep backends: baselines without an
-// async executor fall back to synchronous B::submit (see backend.hpp).
-#define WFL_HAS_ASYNC_SUBMIT 1
-
 namespace wfl {
 
 // Liveness handle for one logical submitter. An AsyncClient is NOT a

@@ -22,7 +22,7 @@
 //     under helping backends and exactly-once under blocking ones.
 //
 // Progress semantics are reported, not papered over: progress() says what
-// an attempt/operation really guarantees, and each adapter documents how
+// an attempt/operation really guarantees, and each backend documents how
 // Policy maps onto its discipline (a blocking backend may satisfy
 // Policy::retry() with one unbounded acquisition; a helping backend's
 // single "attempt" may do unbounded work on others' behalf).
@@ -69,17 +69,14 @@ inline const char* progress_name(BackendProgress p) {
 
 // Uniform construction knobs. Every backend space is buildable from this
 // one struct, which is what lets experiment drivers sweep a registry of
-// backends instead of hand-rolling per-backend setup:
-//   * `lock` — the declared workload bounds. WFL uses all of κ/L/T and the
-//     delay mode; the baselines honor the L budget (submissions above it
-//     abort, same as WFL) and ignore the bounds their disciplines lack;
-//   * `patience` — per-lock bounded spin for attempt-shaped acquisition in
-//     the blocking backends' try path (their analogue of "one attempt").
+// backends instead of hand-rolling per-backend setup.
+// `lock` holds the declared workload bounds. WFL uses all of κ/L/T and the
+// delay mode; the baselines honor the L budget (submissions above it abort,
+// same as WFL) and ignore the bounds their disciplines lack.
 struct BackendConfig {
   LockConfig lock;
   int max_procs = 1;
   int num_locks = 1;
-  int patience = 4;
 };
 
 // A no-capture thunk usable in unevaluated concept checks.
@@ -174,7 +171,7 @@ concept AsyncCapableBackend = requires(typename B::Space& space) {
 // native submit_batch (the WFL stack, with its guard amortization) use it;
 // every other backend gets the loop-of-submits semantics automatically, so
 // registry sweeps and batch-shaped drivers run against all baselines
-// without each adapter growing a bespoke method.
+// without each backend growing a bespoke method.
 template <typename B>
 BatchOutcome backend_submit_batch(
     typename B::Session& session,
@@ -208,7 +205,7 @@ using resolve_backend_t =
     std::conditional_t<BackendShaped<T>, T, WflBackend<T>>;
 
 // ---------------------------------------------------------------------------
-// Adapter plumbing shared by the baseline backends.
+// Plumbing shared by the baseline backends.
 // ---------------------------------------------------------------------------
 
 // Bounded process-slot allocator with reuse, for spaces whose underlying
@@ -242,8 +239,8 @@ class ProcSlots {
   std::vector<int> free_;
 };
 
-// The RAII session every baseline adapter uses: owns one pid slot of one
-// adapter space (acquire_pid/release_pid), mirroring BasicSession's
+// The RAII session every baseline backend uses: owns one pid slot of one
+// baseline space (acquire_pid/release_pid), mirroring BasicSession's
 // move-only shape.
 template <typename SpaceT>
 class SlotSession {
@@ -280,6 +277,18 @@ class SlotSession {
   SpaceT* space_;
   int pid_ = -1;
 };
+
+// The submission contract every baseline enforces before touching a lock,
+// the same as LockTable's: at most L locks, every id inside the space.
+template <typename SpaceT>
+void check_submission(const SpaceT& space, LockSetView locks) {
+  WFL_CHECK_MSG(locks.size() <= space.config().max_locks,
+                "lock set exceeds the configured L bound");
+  for (const std::uint32_t id : locks) {
+    WFL_CHECK_MSG(id < static_cast<std::uint32_t>(space.num_locks()),
+                  "lock id out of range");
+  }
+}
 
 // Per-submission idempotence context for backends whose critical sections
 // run exactly once under mutual exclusion (no helpers). The log lives in

@@ -34,11 +34,6 @@
 #include "wfl/core/lock_set.hpp"
 #include "wfl/core/session.hpp"
 
-// Feature-test macro for capability-probed benchmarks (bench_scaling
-// builds against trees with and without the batch API to capture
-// before/after pairs).
-#define WFL_HAS_SUBMIT_BATCH 1
-
 namespace wfl {
 
 // What submit() should do when an attempt loses its locks.

@@ -328,7 +328,7 @@ class LockTable {
                Thunk thunk, AttemptInfo* info) {
     Handle& h = handle(proc);
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
-      WFL_CHECK(lock_ids[i] < locks_.size());
+      WFL_CHECK_MSG(lock_ids[i] < locks_.size(), "lock id out of range");
     }
     h.stats().add_attempt();
 

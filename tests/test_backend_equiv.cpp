@@ -2,7 +2,7 @@
 // simulator-capable LockBackend with the same seeds, must implement the
 // same abstract object.
 //
-// Three layers of evidence, per backend (WFL, Turek, Spin2PL — the
+// Three layers of evidence, per backend (wflock, turek, spin2pl — the
 // SimBackends registry):
 //   1. deterministic single-process scenarios: the exact same op sequence
 //      must produce the exact same final state on every backend (bank
@@ -294,43 +294,6 @@ TEST(BackendEquiv, SessionSlotsRecycleAcrossGenerations) {
   });
 }
 
-// The §6.2 unknown-bounds variant satisfies the same concept; the same
-// deterministic script must land in the same final state. Unlike the
-// known-bounds backends it has no delays-off mode, so its SimPlat
-// instantiation must run inside a simulation for steps to advance.
-TEST(BackendEquiv, AdaptiveBackendMatchesSequentialBankScript) {
-  const std::uint64_t seed = 7;
-  const auto reference = bank_balances_after_script<WflBackend<SimPlat>>(seed);
-
-  using B = AdaptiveWflBackend<SimPlat>;
-  constexpr int kAccounts = 6;
-  auto space = B::make_space(sim_cfg(1, 2, 8, kAccounts));
-  Bank<B> bank(*space, kAccounts, 100);
-  Simulator sim(seed);
-  typename B::Session session(*space);
-  sim.add_process([&] {
-    Xoshiro256 rng(seed);
-    for (int i = 0; i < 200; ++i) {
-      const auto a = static_cast<std::uint32_t>(rng.next_below(kAccounts));
-      auto b = static_cast<std::uint32_t>(rng.next_below(kAccounts));
-      if (b == a) b = (b + 1) % kAccounts;
-      const Outcome o =
-          bank.transfer(session, a, b,
-                        static_cast<std::uint32_t>(rng.next_below(40)),
-                        Policy::retry());
-      EXPECT_TRUE(o.won);
-    }
-  });
-  UniformSchedule sched(1, seed);
-  ASSERT_TRUE(sim.run(sched, 4'000'000'000ull));
-  EXPECT_EQ(bank.total_balance(), bank.expected_total());
-  std::vector<std::uint32_t> balances;
-  for (std::uint32_t i = 0; i < kAccounts; ++i) {
-    balances.push_back(bank.balance(i));
-  }
-  EXPECT_EQ(balances, reference);
-}
-
 // Contracts suite: death tests, excluded from the TSan CI job by filter.
 TEST(Contracts, BackendLockBudgetEnforcedUniformly) {
   // All backends share kMaxLocksPerAttempt-derived budgets and enforce the
@@ -347,6 +310,30 @@ TEST(Contracts, BackendLockBudgetEnforcedUniformly) {
         },
         "L bound")
         << B::name();
+  });
+}
+
+// A lock id at or past num_locks aborts on every backend instead of
+// indexing past the lock array — the real-thread registry too, since
+// mutex2pl is real-only.
+template <typename B>
+void expect_out_of_range_id_dies() {
+  using Plat = typename B::Platform;
+  auto space = B::make_space(sim_cfg(1, 2, 4, 8));
+  typename B::Session s(*space);
+  const StaticLockSet<2> locks{3, 8};  // lock 8 of an 8-lock space
+  EXPECT_DEATH(
+      { B::submit(s, locks, [](IdemCtx<Plat>&) {}, Policy::one_shot()); },
+      "lock id out of range")
+      << B::name();
+}
+
+TEST(Contracts, BackendLockIdRangeEnforcedUniformly) {
+  SimBackends<SimPlat>::for_each([](auto tag) {
+    expect_out_of_range_id_dies<typename decltype(tag)::type>();
+  });
+  RealBackends::for_each([](auto tag) {
+    expect_out_of_range_id_dies<typename decltype(tag)::type>();
   });
 }
 
