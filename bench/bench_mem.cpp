@@ -2,30 +2,47 @@
 // primitives every tryLock attempt is built from. These are the "constant
 // factors" behind substitution #2 in DESIGN.md (pool/EBR operations are
 // not counted as model steps); this table keeps us honest that they are
-// in fact small constants, not hidden O(n) work.
+// in fact small constants, not hidden O(n) work. The *Arena rows run the
+// same operation against the arena placement (the shared-memory table's
+// pools and domain), so each placement's cost shows side by side.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "bench_json.hpp"
 #include "wfl/idem/cell.hpp"
 #include "wfl/idem/idem.hpp"
 #include "wfl/mem/arena.hpp"
 #include "wfl/mem/ebr.hpp"
 #include "wfl/platform/real.hpp"
+#include "wfl/util/shm.hpp"
 
 namespace {
 
 using namespace wfl;  // NOLINT: bench file, local scope
 
-void BM_PoolAllocFree(benchmark::State& state) {
-  IndexPool<std::uint64_t> pool(1024);
+void pool_alloc_free(benchmark::State& state,
+                     IndexPool<std::uint64_t>& pool) {
   for (auto _ : state) {
     const std::uint32_t idx = pool.alloc();
     benchmark::DoNotOptimize(pool.at(idx));
     pool.free(idx);
   }
 }
+
+void BM_PoolAllocFree(benchmark::State& state) {
+  IndexPool<std::uint64_t> pool(1024);
+  pool_alloc_free(state, pool);
+}
 BENCHMARK(BM_PoolAllocFree);
+
+void BM_PoolAllocFreeArena(benchmark::State& state) {
+  ShmArena arena = ShmArena::create_anon(1u << 20);
+  IndexPool<std::uint64_t> pool(
+      arena, IndexPool<std::uint64_t>::create_in(arena, 1024));
+  pool_alloc_free(state, pool);
+}
+BENCHMARK(BM_PoolAllocFreeArena);
 
 void BM_PoolAllocFreeBatch64(benchmark::State& state) {
   // Batched alloc keeps 64 slots live — exercises freelist traffic beyond
@@ -57,22 +74,31 @@ void BM_PoolGrowthColdStart(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolGrowthColdStart)->Unit(benchmark::kMicrosecond);
 
-void BM_EbrEnterExit(benchmark::State& state) {
-  EbrDomain ebr(1);
+void ebr_enter_exit(benchmark::State& state, EbrDomain& ebr) {
   const int pid = ebr.register_participant();
   for (auto _ : state) {
     ebr.enter(pid);
     ebr.exit(pid);
   }
 }
+
+void BM_EbrEnterExit(benchmark::State& state) {
+  EbrDomain ebr(1);
+  ebr_enter_exit(state, ebr);
+}
 BENCHMARK(BM_EbrEnterExit);
+
+void BM_EbrEnterExitArena(benchmark::State& state) {
+  ShmArena arena = ShmArena::create_anon(1u << 20);
+  EbrDomain ebr(arena, EbrDomain::create_in(arena, 1));
+  ebr_enter_exit(state, ebr);
+}
+BENCHMARK(BM_EbrEnterExitArena);
 
 void BM_EbrRetireCycle(benchmark::State& state) {
   IndexPool<std::uint64_t> pool(4096);
   EbrDomain ebr(1);
   const int pid = ebr.register_participant();
-  static IndexPool<std::uint64_t>* gpool = nullptr;
-  gpool = &pool;
   for (auto _ : state) {
     const std::uint32_t idx = pool.alloc();
     ebr.enter(pid);
@@ -124,4 +150,4 @@ BENCHMARK(BM_ThunkLogAgreeDecided);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+WFL_BENCH_JSON_MAIN()

@@ -40,18 +40,18 @@ struct LockConfig {
 
   // Practical-mode (DelayMode::kOff only) contended-path optimizations
   // (DESIGN.md §5). Neither changes kTheory executions at all — with the
-  // paper's delays on, both switches are ignored so the reveal-timing
-  // argument (Observation 6.7) and the helping discipline (Lemma 6.4)
-  // stay exactly the paper's.
+  // paper's delays on, the fast path is switched off and helping stays
+  // everyone-drives, so the reveal-timing argument (Observation 6.7) and
+  // the helping discipline (Lemma 6.4) stay exactly the paper's.
   //
   //   * fast_path — uncontended single-lock attempts publish through a
   //     per-lock thin word instead of allocating a descriptor and climbing
   //     the active set; contenders revoke the word and compete against the
   //     owner's embedded descriptor (safety argument in DESIGN.md §5.1).
-  //   * cooperative_help — the pre-insert help phase lets one helper at a
-  //     time drive a stalled attempt through a revocable per-descriptor
-  //     claim; the rest settle for celebrate-if-won and move on
-  //     (starvation-freedom argument in DESIGN.md §5.2).
+  //   * cooperative helping (always on in kOff) — the pre-insert help
+  //     phase lets one helper at a time drive a stalled attempt through a
+  //     revocable per-descriptor claim; the rest settle for celebrate-if-won
+  //     and move on (starvation-freedom argument in DESIGN.md §5.2).
   bool fast_path = true;
   bool cooperative_help = true;
   // How many foreign observations a help claim survives before the next

@@ -223,8 +223,7 @@ class LockTable {
     // fast-path tree (the thin words are never published, and the slow
     // path's probes are skipped entirely).
     fast_enabled_ = cfg_.delay_mode == DelayMode::kOff && cfg_.fast_path;
-    cooperative_ =
-        cfg_.delay_mode == DelayMode::kOff && cfg_.cooperative_help;
+    cooperative_ = cfg_.delay_mode == DelayMode::kOff;
   }
 
   // Registers the calling logical process: one participant slot in every

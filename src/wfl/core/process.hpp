@@ -20,11 +20,6 @@
 //     reclamation domains; the depth counters make guard acquisition
 //     re-entrant so a helper can pick up whatever extra shards a helped
 //     descriptor's lock set needs without tracking what it already holds.
-//   * an auxiliary RNG, seeded from the pid — for harness-side choices
-//     (workload generators, shard-aware benches). The *algorithm's*
-//     priority draws stay on Plat::rand_u64(), which is already
-//     per-process on both platforms (a thread_local under RealPlat, the
-//     per-fiber stream under SimPlat) and owns simulator determinism.
 //
 // Handles are created by LockTable::register_process and owned by the
 // table; the cheap `Process` value (an index) is what travels through
@@ -43,7 +38,6 @@
 #include "wfl/idem/idem.hpp"
 #include "wfl/util/align.hpp"
 #include "wfl/util/assert.hpp"
-#include "wfl/util/rng.hpp"
 
 namespace wfl {
 
@@ -130,8 +124,7 @@ class ProcessHandle {
         serial_block_(serial_block),
         serial_hwm_(&serial_hwm),
         fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr),
-        guard_depth_(num_shards, 0),
-        rng_(0x5EEDF00Du + static_cast<std::uint64_t>(pid) * 0x9E3779B9ULL) {
+        guard_depth_(num_shards, 0) {
     WFL_CHECK(pid >= 0 && num_shards > 0 && serial_block > 0);
     // fast_ready_ is a raw std::atomic with hooked accessors; seed its
     // shadow and retire it in the dtor so heap reuse of the handle's
@@ -228,10 +221,6 @@ class ProcessHandle {
     return false;
   }
 
-  // Harness-side randomness (workload generation, shard picking). NOT the
-  // priority stream — see the header comment.
-  Xoshiro256& rng() { return rng_; }
-
  private:
   int pid_;
   std::uint32_t serial_block_;
@@ -247,7 +236,6 @@ class ProcessHandle {
   // owning participant or under quiescent domain teardown (another thread).
   std::atomic<bool> fast_ready_{true};
   std::vector<std::uint32_t> guard_depth_;
-  Xoshiro256 rng_;
 };
 
 }  // namespace wfl

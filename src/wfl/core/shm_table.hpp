@@ -250,7 +250,7 @@ class ShmLockTable {
     MemberList<Desc*> help_scratch_;
     MemberList<Desc*> run_scratch_;
     LocalSnap snap_buf_;
-    SlotCache<Desc, 64, ShmPool<Desc>> dcache_;
+    SlotCache<Desc> dcache_;
   };
 
   // --- construction --------------------------------------------------------
@@ -304,16 +304,15 @@ class ShmLockTable {
             ? sizing.snap_pool_capacity
             : std::max<std::uint32_t>(16384, procs * 2048);
 
-    h->desc_pool_off = ShmPool<Desc>::create_in(shm, desc_cap);
-    h->snap_pool_off = ShmPool<Snap>::create_in(shm, snap_cap);
-    h->ebr_off = ShmEbrDomain::create_in(shm, max_procs);
+    h->desc_pool_off = IndexPool<Desc>::create_in(shm, desc_cap);
+    h->snap_pool_off = IndexPool<Snap>::create_in(shm, snap_cap);
+    h->ebr_off = EbrDomain::create_in(shm, max_procs);
     h->sessions_off =
         shm.create_array<ShmSessionRec>(static_cast<std::size_t>(max_procs));
     h->sets_off = shm.create_array<ShmSetSlot>(
         static_cast<std::size_t>(h->num_locks) * h->set_cap);
 
-    auto t = std::unique_ptr<ShmLockTable>(new ShmLockTable());
-    t->bind(shm, header_off);
+    auto t = std::unique_ptr<ShmLockTable>(new ShmLockTable(shm, header_off));
 
     // Reserve the permanently-empty sentinel snapshot (the `set[C]` corner
     // case of Algorithm 1) and point every slot at it.
@@ -339,9 +338,7 @@ class ShmLockTable {
   static std::unique_ptr<ShmLockTable> attach(ShmArena& shm) {
     WFL_CHECK_MSG(shm.root() != ShmArena::kNullOffset,
                   "ShmLockTable::attach: arena has no table root");
-    auto t = std::unique_ptr<ShmLockTable>(new ShmLockTable());
-    t->bind(shm, shm.root());
-    return t;
+    return std::unique_ptr<ShmLockTable>(new ShmLockTable(shm, shm.root()));
   }
 
   ~ShmLockTable() {
@@ -535,25 +532,10 @@ class ShmLockTable {
 
   // --- diagnostics ---------------------------------------------------------
 
-  std::uint32_t desc_free() const { return desc_pool_.free_count(); }
-  std::uint32_t snap_free() const { return snap_pool_.free_count(); }
-  std::uint64_t snap_alloc_total() const { return snap_pool_.alloc_total(); }
-  std::uint64_t snap_free_total() const { return snap_pool_.free_total(); }
   std::uint64_t epoch() const { return ebr_.epoch(); }
-  std::size_t pending_retired(const Session& s) const {
-    return ebr_.pending_retired(s.pid_);
-  }
   std::uint32_t session_state(int pid) const {
     return rec(pid).state.load(std::memory_order_acquire);
   }
-  int participant_count() const { return ebr_.participant_count(); }
-  bool participant_active(int pid) const {
-    return ebr_.participant_active(pid);
-  }
-  std::uint64_t participant_epoch(int pid) const {
-    return ebr_.participant_epoch(pid);
-  }
-  int participant_os_pid(int pid) const { return ebr_.os_pid(pid); }
 
   // Quiescent-only wedge probe: true iff some lock's set still announces a
   // descriptor that is active-and-revealed (a holder nobody can finish) or
@@ -582,15 +564,13 @@ class ShmLockTable {
   static constexpr std::uint32_t kPoolLowWater = 64;
   static constexpr std::uint64_t kSerialBlock = 1024;
 
-  ShmLockTable() = default;
-
-  void bind(ShmArena& shm, std::uint64_t header_off) {
-    arena_ = &shm;
-    h_ = shm.at<ShmTableHeader>(header_off);
-    desc_pool_.attach(shm, h_->desc_pool_off);
-    snap_pool_.attach(shm, h_->snap_pool_off);
-    ebr_.attach(shm, h_->ebr_off);
-    sessions_ = shm.at<ShmSessionRec>(h_->sessions_off);
+  ShmLockTable(ShmArena& shm, std::uint64_t header_off)
+      : arena_(&shm),
+        h_(shm.at<ShmTableHeader>(header_off)),
+        desc_pool_(shm, h_->desc_pool_off),
+        snap_pool_(shm, h_->snap_pool_off),
+        ebr_(shm, h_->ebr_off),
+        sessions_(shm.at<ShmSessionRec>(h_->sessions_off)) {
     shm_detail::register_thunk_arena(&shm);
   }
 
@@ -818,7 +798,7 @@ class ShmLockTable {
   // retire_refs is 1 and the slot goes straight back to the owner's
   // cache). Crashed descriptors never reach this — they leak by design.
   static void release_descriptor(void* ctx, std::uint32_t handle) {
-    auto* cache = static_cast<SlotCache<Desc, 64, ShmPool<Desc>>*>(ctx);
+    auto* cache = static_cast<SlotCache<Desc>*>(ctx);
     Desc& d = cache->pool().at(handle);
     const std::uint32_t prev =
         d.retire_refs.fetch_sub(1, std::memory_order_acq_rel);
@@ -827,9 +807,9 @@ class ShmLockTable {
 
   const ShmArena* arena_ = nullptr;
   ShmTableHeader* h_ = nullptr;
-  ShmPool<Desc> desc_pool_;
-  ShmPool<Snap> snap_pool_;
-  ShmEbrDomain ebr_;
+  IndexPool<Desc> desc_pool_;
+  IndexPool<Snap> snap_pool_;
+  EbrDomain ebr_;
   ShmSessionRec* sessions_ = nullptr;
 };
 

@@ -168,8 +168,9 @@ struct ForkCrashRig {
   std::uint64_t c0 = 0, c1 = 0;
   std::uint64_t trap_flag = 0;  // Offset<std::atomic<uint32>>
 
-  ForkCrashRig() {
-    table = LockTable<RealPlat>::create_in(arena, shm_cfg(4), 4, 2);
+  explicit ForkCrashRig(
+      ShmLockTable::Sizing sizing = ShmLockTable::Sizing{0, 0}) {
+    table = ShmLockTable::create_in(arena, shm_cfg(4), 4, 2, sizing);
     c0 = arena.create<Cell<RealPlat>>(0u);
     c1 = arena.create<Cell<RealPlat>>(0u);
     trap_flag = arena.create<std::atomic<std::uint32_t>>();
@@ -308,6 +309,51 @@ TEST(ShmCrashTest, MidThunkVictimCompletesExactlyOnce) {
       << "abandoned victim still pins the EBR epoch";
   EXPECT_EQ(rig.cell0(), 301u);
   EXPECT_EQ(rig.cell1(), 301u);
+  rig.table->close_session(*parent);
+}
+
+// Allocation backpressure (DESIGN.md §10.3). A victim frozen mid-thunk
+// holds its EBR guard, pinning the epoch, so the survivor's retired
+// snapshots stop draining and a small snapshot pool runs dry. The survivor
+// never calls reap_dead itself: the backpressure loop's own dead-pid probe
+// must reap the corpse, which un-pins the epoch. Every attempt completes,
+// and every win — the victim's included — applies exactly once.
+TEST(ShmCrashTest, BackpressureReapsAPinningCorpse) {
+  ForkCrashRig rig(ShmLockTable::Sizing{0, 256});
+  auto parent = rig.table->open_session();
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    auto s = rig.table->open_session();
+    const std::uint32_t ids[] = {0, 1};
+    rig.table->try_locks(*s, ids,
+                         rig.thunk(static_cast<int>(::getpid())));
+    ::_exit(1);  // unreachable: the thunk traps and never returns
+  }
+  for (int spins = 0; rig.flag().load(std::memory_order_acquire) == 0;
+       ++spins) {
+    ASSERT_LT(spins, 200000) << "victim never reached the thunk trap";
+    ::usleep(100);
+  }
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  ForkCrashRig::reap_os_child(child);
+  const int victim = 1;  // the parent's session took pid 0 before the fork
+  ASSERT_EQ(rig.table->session_state(victim), kSessLive);
+
+  const std::uint64_t epoch_before = rig.table->epoch();
+  const std::uint32_t ids[] = {0, 1};
+  std::uint64_t wins = 0;
+  for (int i = 0; i < 200; ++i) {
+    if (rig.table->try_locks(*parent, ids, rig.thunk())) ++wins;
+  }
+  EXPECT_EQ(rig.table->session_state(victim), kSessReaped)
+      << "backpressure never reaped the corpse pinning the epoch";
+  EXPECT_GT(rig.table->epoch(), epoch_before + 2);
+  EXPECT_GT(wins, 0u) << "survivor never won after the reap";
+  EXPECT_EQ(rig.cell0(), wins + 1) << "a win applied other than once";
+  EXPECT_EQ(rig.cell1(), wins + 1) << "a win applied other than once";
+  EXPECT_FALSE(rig.table->any_holder(*parent));
   rig.table->close_session(*parent);
 }
 
