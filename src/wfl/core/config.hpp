@@ -53,7 +53,6 @@ struct LockConfig {
   //     revocable per-descriptor claim; the rest settle for celebrate-if-won
   //     and move on (starvation-freedom argument in DESIGN.md §5.2).
   bool fast_path = true;
-  bool cooperative_help = true;
   // How many foreign observations a help claim survives before the next
   // observer revokes it and drives the attempt itself (DESIGN.md §5.2).
   // Bounds the celebrate-only delay any single stalled claimer can impose;

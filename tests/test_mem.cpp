@@ -182,19 +182,29 @@ TEST(IndexPool, ConstructorPreSizesPastOneSegment) {
   EXPECT_GE(pool.free_count(), 4096u);
 }
 
-// An arena pool has a fixed capacity (here not a segment multiple):
-// try_alloc reports exhaustion without growing, alloc aborts.
-TEST(IndexPoolArena, ExhaustionNeverGrows) {
+// try_alloc/try_alloc_batch report an empty freelist instead of growing,
+// in both placements: they are the backpressure signal.
+TYPED_TEST(PoolTest, TryAllocNeverGrows) {
+  auto pool = this->template make_pool<int>(300);
+  const std::uint32_t cap = pool->capacity();
+  std::uint32_t last = kNullIndex;
+  for (std::uint32_t i = 0; i < cap; ++i) last = pool->alloc();
+  std::uint32_t out[4];
+  EXPECT_EQ(pool->try_alloc(), kNullIndex);
+  EXPECT_EQ(pool->try_alloc_batch(out, 4), 0u);
+  EXPECT_EQ(pool->capacity(), cap) << "try_alloc must never grow the pool";
+  pool->free(last);
+  EXPECT_EQ(pool->try_alloc(), last);
+}
+
+// An arena pool has a fixed capacity (here not a segment multiple), so
+// alloc aborts where an owned pool would grow.
+TEST(IndexPoolArena, AllocAbortsWhenExhausted) {
   ShmArena arena = ShmArena::create_anon(1u << 20);
   IndexPool<int> pool(arena, IndexPool<int>::create_in(arena, 300));
+  EXPECT_EQ(pool.capacity(), 300u);
   for (std::uint32_t i = 0; i < 300; ++i) EXPECT_EQ(pool.alloc(), i);
-  std::uint32_t out[4];
-  EXPECT_EQ(pool.try_alloc(), kNullIndex);
-  EXPECT_EQ(pool.try_alloc_batch(out, 4), 0u);
-  EXPECT_EQ(pool.capacity(), 300u) << "an arena pool must never grow";
   EXPECT_DEATH((void)pool.alloc(), "exhausted");
-  pool.free(299);
-  EXPECT_EQ(pool.try_alloc(), 299u);
 }
 
 // Two mappings of one named arena in one process: the accessors see
