@@ -138,7 +138,6 @@ class AdaptiveLockSpace {
         snap_caches_(static_cast<std::size_t>(std::max(max_procs, 1))),
         ebr_(max_procs),
         mem_{snap_pool_, ebr_, snap_caches_.data()},
-        serial_block_(sizing.serial_block != 0 ? sizing.serial_block : 1024),
         handles_(static_cast<std::size_t>(std::max(max_procs, 1))) {
     WFL_CHECK(max_procs > 0 && num_locks > 0);
     WFL_CHECK(static_cast<std::uint32_t>(max_procs) <= kMaxSetCap);
@@ -149,7 +148,10 @@ class AdaptiveLockSpace {
       locks_.push_back(std::make_unique<Set>(
           static_cast<std::uint32_t>(max_procs), mem_));
     }
+    race::created(&serial_hwm_, 1);  // see LockTable's constructor
   }
+
+  ~AdaptiveLockSpace() { race::destroyed(&serial_hwm_); }
 
   // Same handle scheme as LockTable (core/process.hpp), with one shard:
   // striped stats and serial blocks, so this variant's hot path is also
@@ -175,7 +177,7 @@ class AdaptiveLockSpace {
     const int pid = ebr_.register_participant();
     WFL_CHECK(pid >= 0 && pid < static_cast<int>(handles_.size()));
     handles_[static_cast<std::size_t>(pid)] = std::make_unique<Handle>(
-        pid, /*num_shards=*/1, serial_hwm_, serial_block_);
+        pid, /*num_shards=*/1, serial_hwm_);
     registered_.store(pid + 1, std::memory_order_release);
     return Process{pid};
   }
@@ -234,7 +236,7 @@ class AdaptiveLockSpace {
         *desc_caches_[static_cast<std::size_t>(proc.ebr_pid)];
     const std::uint32_t didx = dcache.alloc();
     Desc& d = desc_pool_.at(didx);
-    h.stats().add_log_slot_resets(d.reinit(h.next_serial()));
+    h.reinit(d);
     d.lock_count = static_cast<std::uint32_t>(lock_ids.size());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
       WFL_CHECK(lock_ids[i] < locks_.size());
@@ -421,7 +423,6 @@ class AdaptiveLockSpace {
   std::vector<std::unique_ptr<Set>> locks_;
 
   std::atomic<std::uint64_t> serial_hwm_{1};
-  std::uint32_t serial_block_;
   std::mutex reg_mutex_;
   std::vector<std::unique_ptr<Handle>> handles_;
   std::vector<int> free_pids_;  // released slots awaiting reuse (reg_mutex_)

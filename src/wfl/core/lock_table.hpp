@@ -114,7 +114,6 @@ struct SpaceSizing {
   std::uint32_t snap_pool_capacity = 0;  // initial snapshots per shard
   std::uint32_t desc_pool_capacity = 0;  // initial descriptors per shard
   std::uint32_t shards = 0;              // shard count (power of two)
-  std::uint32_t serial_block = 0;        // serials per per-process block
 };
 
 inline constexpr std::uint32_t kMaxShards = 16;
@@ -177,8 +176,6 @@ class LockTable {
         max_procs_(max_procs),
         num_shards_(sizing.shards != 0 ? sizing.shards
                                        : auto_shards(max_procs, num_locks)),
-        serial_block_(sizing.serial_block != 0 ? sizing.serial_block
-                                               : kDefaultSerialBlock),
         thin_(static_cast<std::size_t>(std::max(num_locks, 1))),
         handles_(static_cast<std::size_t>(std::max(max_procs, 1))) {
     cfg_.validate();
@@ -224,6 +221,16 @@ class LockTable {
     // path's probes are skipped entirely).
     fast_enabled_ = cfg_.delay_mode == DelayMode::kOff && cfg_.fast_path;
     cooperative_ = cfg_.delay_mode == DelayMode::kOff;
+    // Raw atomics with hooked accesses: seed their shadows, and retire them
+    // in the destructor, so a table built in reused storage cannot alias a
+    // previous table's tracked state.
+    race::created(&serial_hwm_, 1);
+    race::created(&wake_sink_, 0);
+  }
+
+  ~LockTable() {
+    race::destroyed(&serial_hwm_);
+    race::destroyed(&wake_sink_);
   }
 
   // Registers the calling logical process: one participant slot in every
@@ -249,8 +256,7 @@ class LockTable {
     }
     WFL_CHECK(pid >= 0 && pid < static_cast<int>(handles_.size()));
     handles_[static_cast<std::size_t>(pid)] = std::make_unique<Handle>(
-        pid, num_shards_, serial_hwm_, serial_block_,
-        /*with_fast_desc=*/true);
+        pid, num_shards_, serial_hwm_, /*with_fast_desc=*/true);
     registered_.store(pid + 1, std::memory_order_release);
     return Process{pid};
   }
@@ -373,7 +379,7 @@ class LockTable {
         *caches_[home]->desc[static_cast<std::size_t>(h.pid())];
     const std::uint32_t didx = dcache.alloc();
     Desc& d = hm.desc_pool.at(didx);
-    h.stats().add_log_slot_resets(d.reinit(h.next_serial()));
+    h.reinit(d);
     d.lock_count = static_cast<std::uint32_t>(lock_ids.size());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
       d.lock_ids[i] = lock_ids[i];
@@ -480,7 +486,7 @@ class LockTable {
                     AttemptInfo* info, bool& won_out) {
     Desc& fd = h.fast_desc();
     const std::uint64_t start_steps = Plat::steps();
-    h.stats().add_log_slot_resets(fd.reinit(h.next_serial()));
+    h.reinit(fd);
     fd.lock_count = 1;
     fd.lock_ids[0] = lock_id;
     fd.thunk = std::move(thunk);
@@ -717,7 +723,6 @@ class LockTable {
   struct AttemptCtx;
   using Engine = AttemptEngine<Plat, AttemptCtx>;
   using ThinWord = typename Plat::template Atomic<std::uint64_t>;
-  static constexpr std::uint32_t kDefaultSerialBlock = 1024;
 
   struct ShardMem {
     IndexPool<SetSnap<Desc*>> snap_pool;
@@ -871,7 +876,6 @@ class LockTable {
   LockConfig cfg_;
   int max_procs_;
   std::uint32_t num_shards_;
-  std::uint32_t serial_block_;
   bool fast_enabled_ = false;
   bool cooperative_ = false;
   // One thin word per lock, line-padded: under contention rivals hammer a

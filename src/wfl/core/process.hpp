@@ -23,9 +23,11 @@
 //
 // Handles are created by LockTable::register_process and owned by the
 // table; the cheap `Process` value (an index) is what travels through
-// application code, exactly as before the decomposition.
+// application code, exactly as before the decomposition. The cross-process
+// table's sessions (core/shm_table.hpp) each hold one handle too.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -40,6 +42,9 @@
 #include "wfl/util/assert.hpp"
 
 namespace wfl {
+
+// Descriptor serials per refill of a process's private serial block.
+inline constexpr std::uint64_t kSerialBlock = 1024;
 
 // One process's stripe of the lock-space statistics. Single writer (the
 // owning process); concurrent readers (stats aggregation) see a relaxed
@@ -64,6 +69,16 @@ struct StatsSlab {
   std::atomic<std::uint64_t> fastpath_hits{0};
   std::atomic<std::uint64_t> fastpath_revocations{0};
   std::atomic<std::uint64_t> help_claim_skips{0};
+
+  // The counters are raw atomics with hooked stores: seed their shadows
+  // here and retire them with the slab, so a later slab in reused storage
+  // cannot alias this one's tracked state.
+  StatsSlab() {
+    for (std::atomic<std::uint64_t>* c : counters()) race::created(c, 0);
+  }
+  ~StatsSlab() {
+    for (std::atomic<std::uint64_t>* c : counters()) race::destroyed(c);
+  }
 
   static void bump(std::atomic<std::uint64_t>& c) {
     const std::uint64_t nv = c.load(std::memory_order_relaxed) + 1;
@@ -102,6 +117,13 @@ struct StatsSlab {
         fastpath_revocations.load(std::memory_order_relaxed);
     s.help_claim_skips += help_claim_skips.load(std::memory_order_relaxed);
   }
+
+  std::array<std::atomic<std::uint64_t>*, 12> counters() {
+    return {&attempts, &wins, &helps, &eliminations, &thunk_runs,
+            &t0_overruns, &t1_overruns, &tbd_eliminations,
+            &log_slot_resets, &fastpath_hits, &fastpath_revocations,
+            &help_claim_skips};
+  }
 };
 
 // One writer's slab plus padding; the slab itself must not straddle into a
@@ -119,13 +141,12 @@ class ProcessHandle {
   // carry kMaxLocksPerAttempt frozen snapshots each, does not pay for it).
   ProcessHandle(int pid, std::uint32_t num_shards,
                 std::atomic<std::uint64_t>& serial_hwm,
-                std::uint32_t serial_block, bool with_fast_desc = false)
+                bool with_fast_desc = false)
       : pid_(pid),
-        serial_block_(serial_block),
         serial_hwm_(&serial_hwm),
         fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr),
         guard_depth_(num_shards, 0) {
-    WFL_CHECK(pid >= 0 && num_shards > 0 && serial_block > 0);
+    WFL_CHECK(pid >= 0 && num_shards > 0);
     // fast_ready_ is a raw std::atomic with hooked accessors; seed its
     // shadow and retire it in the dtor so heap reuse of the handle's
     // storage cannot alias stale tracked state from a prior object.
@@ -139,18 +160,10 @@ class ProcessHandle {
 
   int pid() const { return pid_; }
 
-  // Next descriptor serial, from the process's private block; refills from
-  // the shared high-water mark once per `serial_block` attempts (the only
-  // process-shared write on this path, amortized to ~nothing).
-  std::uint64_t next_serial() {
-    if (serial_next_ == serial_end_) {
-      serial_next_ = serial_hwm_->fetch_add(serial_block_,
-                                            std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(serial_hwm_, kFetchAdd, relaxed, kSerialRefill,
-                     serial_next_ + serial_block_);
-      serial_end_ = serial_next_ + serial_block_;
-    }
-    return serial_next_++;
+  // Re-initializes `d` for a new attempt under the next descriptor serial,
+  // counting the thunk-log slots the lazy reset touched.
+  void reinit(DescT& d) {
+    stats().add_log_slot_resets(d.reinit(next_serial()));
   }
 
   StatsSlab& stats() { return *stats_; }
@@ -222,8 +235,24 @@ class ProcessHandle {
   }
 
  private:
+  // Next descriptor serial, from the process's private block; refills from
+  // the shared high-water mark once per kSerialBlock attempts (the only
+  // process-shared write on this path, amortized to ~nothing). Only the
+  // RMW's atomicity is load-bearing (the site's contract is kAtomicOnly);
+  // it stays acq_rel so that no table's refill is weaker than before the
+  // cross-process table shared this code.
+  std::uint64_t next_serial() {
+    if (serial_next_ == serial_end_) {
+      serial_next_ =
+          serial_hwm_->fetch_add(kSerialBlock, std::memory_order_acq_rel);
+      WFL_CHK_ATOMIC(serial_hwm_, kFetchAdd, acq_rel, kSerialRefill,
+                     serial_next_ + kSerialBlock);
+      serial_end_ = serial_next_ + kSerialBlock;
+    }
+    return serial_next_++;
+  }
+
   int pid_;
-  std::uint32_t serial_block_;
   std::uint64_t serial_next_ = 0;
   std::uint64_t serial_end_ = 0;
   std::atomic<std::uint64_t>* serial_hwm_;

@@ -31,8 +31,8 @@
 //       - an UNREVEALED one (priority still pending) is eliminated: no
 //         getSet ever surfaced it (the flag filter), so no helper can have
 //         depended on it winning, and losing is the only sound fate;
-//       - the victim's announcement slots are cleared by owner-scan and
-//         re-climbed, removing it from every lock's set;
+//       - the victim is evicted from every lock's active set (one
+//         owner-scan and re-climb per set, ActiveSet::evict);
 //   * the victim's pool slots — its in-flight descriptor, anything parked
 //     in its private SlotCache, its pending local retirements — leak
 //     forever, bounded per crash and priced into the fixed pool sizing.
@@ -53,6 +53,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "wfl/active/active_set.hpp"
 #include "wfl/active/multi_set.hpp"
@@ -141,14 +142,6 @@ struct ShmThunk {
 
 using ShmDesc = Descriptor<RealPlat, ShmThunk>;
 
-// One announcement slot of a shm active set: owner is a descriptor handle
-// + 1 (0 = free), set is a snapshot handle in the table's snapshot pool.
-// Same Algorithm 1 discipline as ActiveSet, minus the pointers.
-struct ShmSetSlot {
-  RealPlat::Atomic<std::uint32_t> owner;
-  RealPlat::Atomic<std::uint32_t> set;
-};
-
 // Session lifecycle states (shared record). Pids move kFree -> kLive ->
 // {kClosed, kReaping -> kReaped} and never back: a crashed or closed pid's
 // slot is retired forever (its guard-depth/log state cannot be proven
@@ -177,11 +170,10 @@ struct ShmTableHeader {
   int max_procs = 0;
   std::uint32_t num_locks = 0;
   std::uint32_t set_cap = 0;
-  std::uint32_t empty_snap = 0;  // reserved all-empty snapshot handle
   std::uint64_t desc_pool_off = 0;
   std::uint64_t snap_pool_off = 0;
   std::uint64_t ebr_off = 0;
-  std::uint64_t sets_off = 0;      // ShmSetSlot[num_locks * set_cap]
+  std::uint64_t sets_off = 0;      // std::uint64_t[num_locks]: set offsets
   std::uint64_t sessions_off = 0;  // ShmSessionRec[max_procs]
   std::atomic<std::uint64_t> serial_hwm{1};
 };
@@ -189,7 +181,9 @@ struct ShmTableHeader {
 class ShmLockTable {
  public:
   using Desc = ShmDesc;
-  using Snap = SetSnap<std::uint32_t>;  // members are owner words (handle+1)
+  // One lock's Algorithm-1 set; owners are descriptor handle + 1 (0 = free).
+  using Set = ActiveSet<RealPlat, std::uint32_t>;
+  using Snap = Set::Snap;
 
   struct Sizing {
     std::uint32_t desc_pool_capacity;  // 0 = auto
@@ -207,31 +201,26 @@ class ShmLockTable {
     Desc* items[kMaxSetCap];
   };
 
-  class Session;
+  struct SetView {
+    ShmLockTable* t;
+    LocalSnap* buf;
+    std::uint32_t lock_id;
 
-  class SetView {
-   public:
     const LocalSnap* get_set() {
-      t_->snapshot_members(lock_id_, *buf_);
-      return buf_;
+      t->snapshot_members(lock_id, *buf);
+      return buf;
     }
-
-   private:
-    friend class ShmLockTable;
-    ShmLockTable* t_ = nullptr;
-    LocalSnap* buf_ = nullptr;
-    std::uint32_t lock_id_ = 0;
   };
 
   // Per-process session state. The shared part is the EBR participant
-  // (announcement + lease) and the ShmSessionRec; everything here — stats,
-  // scratch, slot cache, serial block — is private to the owning process
-  // and dies with it (the cached slots leak on a crash; see the header
-  // comment).
+  // (announcement + lease) and the ShmSessionRec; everything here — the
+  // process handle (stats, scratch, serial block, guard depth), the slot
+  // cache — is private to the owning process and dies with it (the cached
+  // slots leak on a crash; see the header comment).
   class Session {
    public:
-    int pid() const { return pid_; }
-    StatsSlab& stats() { return stats_; }
+    int pid() const { return h_.pid(); }
+    StatsSlab& stats() { return h_.stats(); }
 
     // Crash-harness hooks: run at the two descriptor-path points a real
     // crash is most interesting (announced-but-unrevealed, and revealed-
@@ -242,13 +231,12 @@ class ShmLockTable {
 
    private:
     friend class ShmLockTable;
-    int pid_ = -1;
-    std::uint32_t guard_depth_ = 0;
-    std::uint64_t serial_next_ = 0;
-    std::uint64_t serial_end_ = 0;
-    StatsSlab stats_;
-    MemberList<Desc*> help_scratch_;
-    MemberList<Desc*> run_scratch_;
+    Session(int pid, std::atomic<std::uint64_t>& serial_hwm)
+        : h_(pid, /*num_shards=*/1, serial_hwm) {}
+
+    std::uint32_t& guard_depth() { return h_.guard_depth(0); }
+
+    ProcessHandle<RealPlat, Desc> h_;
     LocalSnap snap_buf_;
     SlotCache<Desc> dcache_;
   };
@@ -309,25 +297,12 @@ class ShmLockTable {
     h->ebr_off = EbrDomain::create_in(shm, max_procs);
     h->sessions_off =
         shm.create_array<ShmSessionRec>(static_cast<std::size_t>(max_procs));
-    h->sets_off = shm.create_array<ShmSetSlot>(
-        static_cast<std::size_t>(h->num_locks) * h->set_cap);
-
-    auto t = std::unique_ptr<ShmLockTable>(new ShmLockTable(shm, header_off));
-
-    // Reserve the permanently-empty sentinel snapshot (the `set[C]` corner
-    // case of Algorithm 1) and point every slot at it.
-    const std::uint32_t empty = t->snap_pool_.alloc();
-    Snap& es = t->snap_pool_.at(empty);
-    es.count = 0;
-    es.self_index = empty;
-    h->empty_snap = empty;
-    ShmSetSlot* slots = shm.at<ShmSetSlot>(h->sets_off);
-    for (std::uint64_t i = 0;
-         i < static_cast<std::uint64_t>(h->num_locks) * h->set_cap; ++i) {
-      slots[i].owner.init(0);
-      slots[i].set.init(empty);
+    h->sets_off = shm.create_array<std::uint64_t>(h->num_locks);
+    for (std::uint32_t i = 0; i < h->num_locks; ++i) {
+      shm.at<std::uint64_t>(h->sets_off)[i] = Set::create_in(shm, h->set_cap);
     }
 
+    auto t = std::unique_ptr<ShmLockTable>(new ShmLockTable(shm, header_off));
     shm.set_root(header_off);
     shm.publish_ready();
     return t;
@@ -355,17 +330,18 @@ class ShmLockTable {
   // --- sessions ------------------------------------------------------------
 
   std::unique_ptr<Session> open_session() {
-    auto s = std::make_unique<Session>();
-    s->pid_ = ebr_.register_participant();
+    const int pid = ebr_.register_participant();
+    auto s = std::unique_ptr<Session>(new Session(pid, h_->serial_hwm));
     s->dcache_.bind(&desc_pool_);
-    ShmSessionRec& r = rec(s->pid_);
+    open_[static_cast<std::size_t>(pid)] = s.get();
+    ShmSessionRec& r = rec(pid);
     std::uint32_t expect = kSessFree;
     WFL_CHECK_MSG(
         r.state.compare_exchange_strong(expect, kSessLive,
                                         std::memory_order_acq_rel),
         "session slot not fresh: pids are never recycled");
     r.cur_desc.store(0, std::memory_order_relaxed);
-    ebr_.bind_os_pid(s->pid_, static_cast<int>(::getpid()));
+    ebr_.bind_os_pid(pid, static_cast<int>(::getpid()));
     return s;
   }
 
@@ -373,13 +349,14 @@ class ShmLockTable {
   // the slot closed. The pid is still not recycled — pool slots are the
   // recyclable resource, pids are the audit trail.
   void close_session(Session& s) {
-    WFL_CHECK(s.guard_depth_ == 0);
-    ebr_.abandon(s.pid_);
+    WFL_CHECK(!s.h_.any_guard_depth());
+    ebr_.abandon(s.pid());
     s.dcache_.drain();
-    rec(s.pid_).state.store(kSessClosed, std::memory_order_release);
+    open_[static_cast<std::size_t>(s.pid())] = nullptr;
+    rec(s.pid()).state.store(kSessClosed, std::memory_order_release);
   }
 
-  void heartbeat(Session& s) { ebr_.heartbeat(s.pid_); }
+  void heartbeat(Session& s) { ebr_.heartbeat(s.pid()); }
   std::uint64_t lease(int pid) const { return ebr_.lease(pid); }
   int os_pid(int pid) const { return ebr_.os_pid(pid); }
 
@@ -395,12 +372,12 @@ class ShmLockTable {
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
       WFL_CHECK(lock_ids[i] < h_->num_locks);
     }
-    s.stats_.add_attempt();
-    ebr_.heartbeat(s.pid_);
+    s.stats().add_attempt();
+    ebr_.heartbeat(s.pid());
 
     const std::uint32_t didx = alloc_desc(s);
     Desc& d = desc_pool_.at(didx);
-    s.stats_.add_log_slot_resets(d.reinit(next_serial(s)));
+    s.h_.reinit(d);
     d.lock_count = static_cast<std::uint32_t>(lock_ids.size());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
       d.lock_ids[i] = lock_ids[i];
@@ -409,23 +386,24 @@ class ShmLockTable {
     d.retire_refs.store(1, std::memory_order_relaxed);
     // Publish the in-flight handle for a potential reaper BEFORE the first
     // set insert: from here on a crash leaves recoverable state.
-    rec(s.pid_).cur_desc.store(didx + 1, std::memory_order_release);
+    rec(s.pid()).cur_desc.store(didx + 1, std::memory_order_release);
 
     AttemptCtx cx{this, &s};
 
     // --- work segment 1: help phase + multiInsert ---
     guard_enter(s);
     if (h_->cfg.help_phase) {
+      MemberList<Desc*>& members = s.h_.help_scratch();
       for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        multi_get_set<RealPlat>(cx.set(d.lock_ids[i]), s.help_scratch_);
-        for (Desc* q : s.help_scratch_) {
-          s.stats_.add_help();
+        multi_get_set<RealPlat>(cx.set(d.lock_ids[i]), members);
+        for (Desc* q : members) {
+          s.stats().add_help();
           Engine::help(cx, *q);
         }
       }
     }
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      d.slot_of_lock[i] = set_insert(d.lock_ids[i], didx + 1, s);
+      d.slot_of_lock[i] = sets_[d.lock_ids[i]]->insert(didx + 1, s.pid());
     }
     guard_exit(s);
 
@@ -441,14 +419,14 @@ class ShmLockTable {
     Engine::run(cx, d);
     d.clear_flag();
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      set_remove(d.lock_ids[i], d.slot_of_lock[i], s);
+      sets_[d.lock_ids[i]]->remove(d.slot_of_lock[i], s.pid());
     }
     guard_exit(s);
 
-    rec(s.pid_).cur_desc.store(0, std::memory_order_release);
+    rec(s.pid()).cur_desc.store(0, std::memory_order_release);
     const bool won = d.status.load() == kStatusWon;
-    if (won) s.stats_.add_win();
-    ebr_.retire(s.pid_, &s.dcache_, didx, &release_descriptor);
+    if (won) s.stats().add_win();
+    ebr_.retire(s.pid(), &s.dcache_, didx, &release_descriptor);
     return won;
   }
 
@@ -462,7 +440,7 @@ class ShmLockTable {
     int reaped = 0;
     const int n = ebr_.participant_count();
     for (int pid = 0; pid < n; ++pid) {
-      if (pid == s.pid_) continue;
+      if (pid == s.pid()) continue;
       if (rec(pid).state.load(std::memory_order_acquire) != kSessLive) {
         continue;
       }
@@ -481,7 +459,7 @@ class ShmLockTable {
   // preemption, not typical latency (DESIGN.md §10).
   bool reap(Session& s, int victim_pid) {
     WFL_CHECK(victim_pid >= 0 && victim_pid < h_->max_procs &&
-              victim_pid != s.pid_);
+              victim_pid != s.pid());
     ShmSessionRec& r = rec(victim_pid);
     std::uint32_t expect = kSessLive;
     if (!r.state.compare_exchange_strong(expect, kSessReaping,
@@ -505,20 +483,14 @@ class ShmLockTable {
       } else if (d.status.cas(kStatusActive, kStatusLost)) {
         // Announced but never revealed: the flag filter means no getSet
         // surfaced it and nobody can have helped it win; eliminate.
-        s.stats_.add_elimination();
+        s.stats().add_elimination();
       }
       d.clear_flag();
       // multiRemove on the victim's behalf. Its slot_of_lock is owner-
-      // private state that may have died mid-update; the owner-scan is the
-      // crash-safe equivalent (bounded: L · C slots).
+      // private state that may have died mid-update; eviction by owner word
+      // is the crash-safe equivalent (bounded: L · C slots).
       for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        ShmSetSlot* slots = set_slots(d.lock_ids[i]);
-        for (std::uint32_t j = 0; j < h_->set_cap; ++j) {
-          if (slots[j].owner.load() == cd) {
-            slots[j].owner.store(0);
-            climb(d.lock_ids[i], static_cast<int>(j), s);
-          }
-        }
+        sets_[d.lock_ids[i]]->evict(cd, s.pid());
       }
       // The victim's descriptor slot is NOT retired to the pool: its
       // private cache state died with it, so the slot leaks — bounded at
@@ -537,18 +509,16 @@ class ShmLockTable {
     return rec(pid).state.load(std::memory_order_acquire);
   }
 
-  // Quiescent-only wedge probe: true iff some lock's set still announces a
-  // descriptor that is active-and-revealed (a holder nobody can finish) or
-  // belongs to an unreaped corpse. Mirrors exp_crash's any_held probe.
+  // Quiescent-only wedge probe: true iff some lock's set still holds a
+  // descriptor that is active-and-revealed (a holder nobody can finish).
+  // Mirrors exp_crash's any_held probe.
   bool any_holder(Session& s) {
     bool held = false;
     guard_enter(s);
     for (std::uint32_t lock = 0; lock < h_->num_locks && !held; ++lock) {
-      ShmSetSlot* slots = set_slots(lock);
-      for (std::uint32_t j = 0; j < h_->set_cap && !held; ++j) {
-        const std::uint32_t owner = slots[j].owner.load();
-        if (owner == 0) continue;
-        Desc& d = desc_pool_.at(owner - 1);
+      snapshot_members(lock, s.snap_buf_);
+      for (std::uint32_t i = 0; i < s.snap_buf_.count && !held; ++i) {
+        const Desc& d = *s.snap_buf_.items[i];
         held = d.status.load() == kStatusActive && d.priority.load() > 0;
       }
     }
@@ -561,8 +531,6 @@ class ShmLockTable {
   using Engine = AttemptEngine<RealPlat, AttemptCtx>;
 
   static constexpr std::uint32_t kCrashSlackSlots = 8;
-  static constexpr std::uint32_t kPoolLowWater = 64;
-  static constexpr std::uint64_t kSerialBlock = 1024;
 
   ShmLockTable(ShmArena& shm, std::uint64_t header_off)
       : arena_(&shm),
@@ -570,35 +538,28 @@ class ShmLockTable {
         desc_pool_(shm, h_->desc_pool_off),
         snap_pool_(shm, h_->snap_pool_off),
         ebr_(shm, h_->ebr_off),
-        sessions_(shm.at<ShmSessionRec>(h_->sessions_off)) {
+        set_mem_{snap_pool_, ebr_, nullptr, &snap_pool_empty, this},
+        sessions_(shm.at<ShmSessionRec>(h_->sessions_off)),
+        open_(static_cast<std::size_t>(h_->max_procs), nullptr) {
+    sets_.reserve(h_->num_locks);
+    for (std::uint32_t i = 0; i < h_->num_locks; ++i) {
+      sets_.push_back(std::make_unique<Set>(
+          shm, shm.at<std::uint64_t>(h_->sets_off)[i], set_mem_));
+    }
     shm_detail::register_thunk_arena(&shm);
   }
 
   ShmSessionRec& rec(int pid) const { return sessions_[pid]; }
 
-  ShmSetSlot* set_slots(std::uint32_t lock_id) const {
-    return arena_->at<ShmSetSlot>(h_->sets_off) +
-           static_cast<std::uint64_t>(lock_id) * h_->set_cap;
-  }
-
-  std::uint64_t next_serial(Session& s) {
-    if (s.serial_next_ == s.serial_end_) {
-      s.serial_next_ =
-          h_->serial_hwm.fetch_add(kSerialBlock, std::memory_order_acq_rel);
-      s.serial_end_ = s.serial_next_ + kSerialBlock;
-    }
-    return s.serial_next_++;
-  }
-
   // Re-entrant single-domain guard (the engine's lock_guards nests inside
   // the attempt's work-segment guard, exactly like the sharded table's
   // depth counters).
   void guard_enter(Session& s) {
-    if (s.guard_depth_++ == 0) ebr_.enter(s.pid_);
+    if (s.guard_depth()++ == 0) ebr_.enter(s.pid());
   }
   void guard_exit(Session& s) {
-    WFL_DASSERT(s.guard_depth_ > 0);
-    if (--s.guard_depth_ == 0) ebr_.exit(s.pid_);
+    WFL_DASSERT(s.guard_depth() > 0);
+    if (--s.guard_depth() == 0) ebr_.exit(s.pid());
   }
 
   class GuardScope {
@@ -622,90 +583,30 @@ class ShmLockTable {
   struct AttemptCtx {
     ShmLockTable* t;
     Session* s;
-    SetView view;
+    SetView view = {};
     using Desc = ShmLockTable::Desc;
 
     SetView& set(std::uint32_t lock_id) {
-      view.t_ = t;
-      view.buf_ = &s->snap_buf_;
-      view.lock_id_ = lock_id;
+      view = SetView{t, &s->snap_buf_, lock_id};
       return view;
     }
-    StatsSlab& stats() { return s->stats_; }
-    MemberList<Desc*>& run_scratch() { return s->run_scratch_; }
+    StatsSlab& stats() { return s->stats(); }
+    MemberList<Desc*>& run_scratch() { return s->h_.run_scratch(); }
     GuardScope lock_guards(Desc&) { return GuardScope(*t, *s); }
     Desc* thin_rival(std::uint32_t) { return nullptr; }
-    int pid() { return s->pid_; }
+    int pid() { return s->pid(); }
     bool cooperative() { return false; }
     std::uint32_t claim_patience() { return ~std::uint32_t{0}; }  // unused
   };
-  friend struct AttemptCtx;
 
   // Resolve the current slot-0 snapshot's handles into local pointers.
   // Caller holds the EBR guard (the snapshot cannot be reclaimed, so the
   // handles cannot be recycled, while we copy).
   void snapshot_members(std::uint32_t lock_id, LocalSnap& out) {
-    ShmSetSlot* slots = set_slots(lock_id);
-    const std::uint32_t snap_h = slots[0].set.load();
-    const Snap& snap = snap_pool_.at(snap_h);
+    const Snap& snap = *sets_[lock_id]->get_set();
     out.count = 0;
-    for (std::uint32_t i = 0; i < snap.count && i < kMaxSetCap; ++i) {
-      const std::uint32_t owner = snap.items[i];
-      if (owner != 0) out.items[out.count++] = desc_pool_.ptr(owner - 1);
-    }
-  }
-
-  // Algorithm 1 over handles (ActiveSet's insert/remove/climb verbatim,
-  // with pool indices in place of pointers and the reserved empty-snapshot
-  // handle as the above-top sentinel).
-  int set_insert(std::uint32_t lock_id, std::uint32_t owner_val, Session& s) {
-    ShmSetSlot* slots = set_slots(lock_id);
-    for (int pass = 0; pass < 8; ++pass) {
-      for (std::uint32_t i = 0; i < h_->set_cap; ++i) {
-        if (slots[i].owner.load() == 0 && slots[i].owner.cas(0, owner_val)) {
-          climb(lock_id, static_cast<int>(i), s);
-          return static_cast<int>(i);
-        }
-      }
-    }
-    WFL_CHECK_MSG(false,
-                  "shm set insert found no free slot: point contention "
-                  "exceeds kappa + crash slack (unreaped corpses?)");
-    return -1;
-  }
-
-  void set_remove(std::uint32_t lock_id, int slot, Session& s) {
-    ShmSetSlot* slots = set_slots(lock_id);
-    slots[static_cast<std::uint32_t>(slot)].owner.store(0);
-    climb(lock_id, slot, s);
-  }
-
-  void climb(std::uint32_t lock_id, int i, Session& s) {
-    if (snap_pool_.free_count() < kPoolLowWater) ebr_.collect(s.pid_);
-    ShmSetSlot* slots = set_slots(lock_id);
-    for (int j = i; j >= 0; --j) {
-      for (int k = 0; k < 2; ++k) {
-        // Allocate BEFORE reading cur/above: alloc_snap may bounce the EBR
-        // guard to wait out a reclamation stall, and no snapshot handle
-        // read under the old guard may be used after re-entry.
-        const std::uint32_t idx = alloc_snap(s);
-        Snap& fresh = snap_pool_.at(idx);
-        fresh.self_index = idx;
-        const std::uint32_t cur =
-            slots[static_cast<std::uint32_t>(j)].set.load();
-        const std::uint32_t above =
-            (j + 1 == static_cast<int>(h_->set_cap))
-                ? h_->empty_snap
-                : slots[static_cast<std::uint32_t>(j) + 1].set.load();
-        const std::uint32_t member =
-            slots[static_cast<std::uint32_t>(j)].owner.load();
-        build(fresh, snap_pool_.at(above), member);
-        if (slots[static_cast<std::uint32_t>(j)].set.cas(cur, idx)) {
-          retire_snap(cur, s);
-        } else {
-          snap_pool_.free(idx);  // never published
-        }
-      }
+    for (std::uint32_t i = 0; i < snap.count; ++i) {
+      out.items[out.count++] = desc_pool_.ptr(snap.items[i] - 1);
     }
   }
 
@@ -728,70 +629,48 @@ class ShmLockTable {
   // (a waiter announced at epoch E otherwise pins global at E+1 and its
   // own current-epoch bucket — holding most of the pool after a long peer
   // stall — could never reach the E+2 drain bar). Callers therefore must
-  // not hold any guard-protected pointer across an alloc_* call; climb()
-  // is ordered alloc-first for exactly this reason.
+  // not hold any guard-protected pointer across an allocation;
+  // ActiveSet::climb is ordered alloc-first for exactly this reason.
   static constexpr std::uint32_t kAllocPatienceSpins = 100000;  // ~10 s
 
   template <typename TryAlloc>
-  std::uint32_t alloc_backpressure(Session& s, TryAlloc&& try_alloc,
-                                   const char* what) {
-    const std::uint32_t depth = s.guard_depth_;
+  std::uint32_t alloc_backpressure(Session& s, TryAlloc&& try_alloc) {
+    const std::uint32_t depth = s.guard_depth();
     if (depth > 0) {
-      s.guard_depth_ = 0;
-      ebr_.exit(s.pid_);
+      s.guard_depth() = 0;
+      ebr_.exit(s.pid());
     }
     std::uint32_t idx = kNullIndex;
     for (std::uint32_t spin = 0; idx == kNullIndex; ++spin) {
       WFL_CHECK_MSG(spin < kAllocPatienceSpins,
                     "shm pool allocation stalled past patience: pool "
                     "undersized, or a live peer wedged inside a guard");
-      ebr_.collect(s.pid_);
+      ebr_.collect(s.pid());
       idx = try_alloc();
       if (idx != kNullIndex) break;
       if ((spin & 63u) == 63u) reap_dead(s);
       ::usleep(100);
-      (void)what;
     }
     if (depth > 0) {
-      ebr_.enter(s.pid_);
-      s.guard_depth_ = depth;
+      ebr_.enter(s.pid());
+      s.guard_depth() = depth;
     }
     return idx;
   }
 
-  std::uint32_t alloc_snap(Session& s) {
-    const std::uint32_t idx = snap_pool_.try_alloc();
-    if (idx != kNullIndex) return idx;
-    return alloc_backpressure(
-        s, [this] { return snap_pool_.try_alloc(); }, "snapshot");
+  // SetMem::on_empty for every lock's set: the snapshot pool ran dry under
+  // the climbing session `pid`.
+  static std::uint32_t snap_pool_empty(void* ctx, int pid) {
+    auto* t = static_cast<ShmLockTable*>(ctx);
+    Session* s = t->open_[static_cast<std::size_t>(pid)];
+    WFL_DASSERT(s != nullptr);
+    return t->alloc_backpressure(*s, [t] { return t->snap_pool_.try_alloc(); });
   }
 
   std::uint32_t alloc_desc(Session& s) {
     const std::uint32_t idx = s.dcache_.try_alloc();
     if (idx != kNullIndex) return idx;
-    return alloc_backpressure(
-        s, [&s] { return s.dcache_.try_alloc(); }, "descriptor");
-  }
-
-  void build(Snap& out, const Snap& above, std::uint32_t member) {
-    WFL_CHECK(above.count <= kMaxSetCap);
-    out.count = 0;
-    for (std::uint32_t i = 0; i < above.count; ++i) {
-      if (above.items[i] != member) out.items[out.count++] = above.items[i];
-    }
-    if (member != 0) {
-      WFL_CHECK_MSG(out.count < kMaxSetCap, "shm set snapshot overflow");
-      out.items[out.count++] = member;
-    }
-  }
-
-  void retire_snap(std::uint32_t snap_h, Session& s) {
-    if (snap_h == h_->empty_snap) return;
-    ebr_.retire(s.pid_, this, snap_h, &free_snap);
-  }
-
-  static void free_snap(void* ctx, std::uint32_t handle) {
-    static_cast<ShmLockTable*>(ctx)->snap_pool_.free(handle);
+    return alloc_backpressure(s, [&s] { return s.dcache_.try_alloc(); });
   }
 
   // EBR deleter for an orderly attempt's descriptor (single domain, so
@@ -810,7 +689,12 @@ class ShmLockTable {
   IndexPool<Desc> desc_pool_;
   IndexPool<Snap> snap_pool_;
   EbrDomain ebr_;
+  SetMem<std::uint32_t> set_mem_;
+  std::vector<std::unique_ptr<Set>> sets_;  // indexed by lock id
   ShmSessionRec* sessions_ = nullptr;
+  // This process's open sessions, by pid: the snapshot-pool stall handler
+  // is handed only a pid and needs the climbing session.
+  std::vector<Session*> open_;
 };
 
 // The placement factories declared on LockTable (the API callers reach

@@ -97,6 +97,7 @@ class IndexPool {
 
   ~IndexPool() {
     if (!own_) return;  // arena storage belongs to the arena
+    race::destroyed(&st_->head);
     for (std::uint32_t s = 0; s < dir_size(); ++s) {
       delete[] items_dir_[s].load(std::memory_order_relaxed);
       delete[] links_dir_[s].load(std::memory_order_relaxed);
@@ -129,10 +130,11 @@ class IndexPool {
   }
 
   // Pops a slot without growing; kNullIndex when the freelist is empty.
+  // The count decides, not `idx`: a pop that lost its head CAS to the pop
+  // that emptied the freelist has already written the stale head there.
   std::uint32_t try_alloc() {
     std::uint32_t idx = kNullIndex;
-    (void)try_alloc_batch(&idx, 1);
-    return idx;
+    return try_alloc_batch(&idx, 1) == 1 ? idx : kNullIndex;
   }
 
   // Pops up to `want` slots (>= 1), growing like alloc().
@@ -153,7 +155,8 @@ class IndexPool {
   // walked is exactly the chain popped; a failed CAS discards the walk
   // (stale next-pointers read during a lost race are valid-or-null indices,
   // never garbage — see free_batch()). Returns the number popped; 0 when
-  // the freelist is empty (never grows — the backpressure signal).
+  // the freelist is empty (never grows — the backpressure signal). Only
+  // out[0, returned) is meaningful: a lost race leaves its walk behind.
   std::uint32_t try_alloc_batch(std::uint32_t* out, std::uint32_t want) {
     WFL_DASSERT(want > 0);
     std::uint64_t head = st_->head.load(std::memory_order_acquire);
@@ -260,6 +263,10 @@ class IndexPool {
     alignas(kCacheLine) std::atomic<std::uint64_t> head{pack(kNullIndex, 0)};
     alignas(kCacheLine) std::atomic<std::uint32_t> free_count{0};
     std::atomic<std::uint64_t> freelist_ops{0};
+
+    // head's first hooked access is a load: seed its shadow, so a pool in
+    // reused storage cannot alias a previous pool's tracked head.
+    State() { race::created(&head, pack(kNullIndex, 0)); }
   };
 
   static std::uint32_t round_up(std::uint32_t v) {

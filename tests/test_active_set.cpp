@@ -5,9 +5,12 @@
 // invocations/responses, against which we verify the containment rules that
 // linearizability (active set) and set regularity (multi set) demand.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "wfl/active/active_set.hpp"
@@ -15,6 +18,7 @@
 #include "wfl/platform/real.hpp"
 #include "wfl/platform/sim.hpp"
 #include "wfl/sim/sim.hpp"
+#include "wfl/util/shm.hpp"
 
 namespace wfl {
 namespace {
@@ -43,58 +47,163 @@ struct Harness {
   SetMem<T*> mem{pool, ebr};
 };
 
-TEST(ActiveSet, InsertGetRemoveSequential) {
-  Harness<Item> h;
-  ActiveSet<RealPlat, Item*> set(4, h.mem);
+// The two placements of a set — slots, snapshot pool and EBR domain all
+// owned on the heap, or all laid into one ShmArena — behind one factory, so
+// each typed test body runs unchanged against both. Owners are
+// address-free words, as in the shared-memory table.
+using WordSet = ActiveSet<RealPlat, std::uint32_t>;
+using WordSnap = WordSet::Snap;
+
+struct OwnedPlacement {
+  static constexpr const char* kName = "Owned";
+  IndexPool<WordSnap> pool{4096};
+  EbrDomain ebr{8};
+  SetMem<std::uint32_t> mem{pool, ebr};
+  std::unique_ptr<WordSet> make_set(std::uint32_t capacity) {
+    return std::make_unique<WordSet>(capacity, mem);
+  }
+};
+
+struct ArenaPlacement {
+  static constexpr const char* kName = "Arena";
+  ShmArena arena = ShmArena::create_anon(8u << 20);
+  IndexPool<WordSnap> pool{arena, IndexPool<WordSnap>::create_in(arena, 4096)};
+  EbrDomain ebr{arena, EbrDomain::create_in(arena, 8)};
+  SetMem<std::uint32_t> mem{pool, ebr};
+  std::unique_ptr<WordSet> make_set(std::uint32_t capacity) {
+    return std::make_unique<WordSet>(arena, WordSet::create_in(arena, capacity),
+                                     mem);
+  }
+};
+
+struct PlacementName {
+  template <typename P>
+  static std::string GetName(int) {
+    return P::kName;
+  }
+};
+
+template <typename P>
+class ActiveSetTest : public ::testing::Test {
+ protected:
+  P place_;
+};
+using Placements = ::testing::Types<OwnedPlacement, ArenaPlacement>;
+TYPED_TEST_SUITE(ActiveSetTest, Placements, PlacementName);
+
+TYPED_TEST(ActiveSetTest, InsertGetRemoveSequential) {
+  auto& h = this->place_;
+  auto set = h.make_set(4);
   const int pid = h.ebr.register_participant();
-  Item a, b;
+  const std::uint32_t a = 1, b = 2;
 
   EbrDomain::Guard g(h.ebr, pid);
-  EXPECT_EQ(set.get_set()->count, 0u);
-  const int sa = set.insert(&a, pid);
-  EXPECT_TRUE(set.get_set()->contains(&a));
-  const int sb = set.insert(&b, pid);
-  EXPECT_TRUE(set.get_set()->contains(&a));
-  EXPECT_TRUE(set.get_set()->contains(&b));
-  EXPECT_EQ(set.get_set()->count, 2u);
-  set.remove(sa, pid);
-  EXPECT_FALSE(set.get_set()->contains(&a));
-  EXPECT_TRUE(set.get_set()->contains(&b));
-  set.remove(sb, pid);
-  EXPECT_EQ(set.get_set()->count, 0u);
+  EXPECT_EQ(set->get_set()->count, 0u);
+  const int sa = set->insert(a, pid);
+  EXPECT_TRUE(set->get_set()->contains(a));
+  const int sb = set->insert(b, pid);
+  EXPECT_TRUE(set->get_set()->contains(a));
+  EXPECT_TRUE(set->get_set()->contains(b));
+  EXPECT_EQ(set->get_set()->count, 2u);
+  set->remove(sa, pid);
+  EXPECT_FALSE(set->get_set()->contains(a));
+  EXPECT_TRUE(set->get_set()->contains(b));
+  set->remove(sb, pid);
+  EXPECT_EQ(set->get_set()->count, 0u);
 }
 
-TEST(ActiveSet, ReinsertAfterRemoveReusesCapacity) {
-  Harness<Item> h;
-  ActiveSet<RealPlat, Item*> set(2, h.mem);
+TYPED_TEST(ActiveSetTest, ReinsertAfterRemoveReusesCapacity) {
+  auto& h = this->place_;
+  auto set = h.make_set(2);
   const int pid = h.ebr.register_participant();
-  Item a, b;
+  const std::uint32_t a = 1, b = 2;
   EbrDomain::Guard g(h.ebr, pid);
   for (int round = 0; round < 50; ++round) {
-    const int sa = set.insert(&a, pid);
-    const int sb = set.insert(&b, pid);
-    set.remove(sa, pid);
-    set.remove(sb, pid);
+    const int sa = set->insert(a, pid);
+    const int sb = set->insert(b, pid);
+    set->remove(sa, pid);
+    set->remove(sb, pid);
   }
-  EXPECT_EQ(set.get_set()->count, 0u);
+  EXPECT_EQ(set->get_set()->count, 0u);
 }
 
-TEST(ActiveSet, TopSlotDrainsViaSentinel) {
+TYPED_TEST(ActiveSetTest, TopSlotDrainsViaSentinel) {
   // Regression for the pseudocode's j == C corner case: removing the item
   // in the *top* slot must actually drain it from the snapshots.
-  Harness<Item> h;
-  ActiveSet<RealPlat, Item*> set(2, h.mem);
+  auto& h = this->place_;
+  auto set = h.make_set(2);
   const int pid = h.ebr.register_participant();
-  Item a, b;
+  const std::uint32_t a = 1, b = 2;
   EbrDomain::Guard g(h.ebr, pid);
-  const int sa = set.insert(&a, pid);  // slot 0
-  const int sb = set.insert(&b, pid);  // slot 1 == top
+  const int sa = set->insert(a, pid);  // slot 0
+  const int sb = set->insert(b, pid);  // slot 1 == top
   EXPECT_EQ(sa, 0);
   EXPECT_EQ(sb, 1);
-  set.remove(sb, pid);
-  EXPECT_FALSE(set.get_set()->contains(&b));
-  set.remove(sa, pid);
-  EXPECT_EQ(set.get_set()->count, 0u);
+  set->remove(sb, pid);
+  EXPECT_FALSE(set->get_set()->contains(b));
+  set->remove(sa, pid);
+  EXPECT_EQ(set->get_set()->count, 0u);
+}
+
+// evict() is the crash-recovery remove: it drops an owner by value, from
+// whatever slot it holds — the top slot included — and frees that slot.
+TYPED_TEST(ActiveSetTest, EvictRemovesAnOwnerFromEverySnapshot) {
+  auto& h = this->place_;
+  auto set = h.make_set(3);
+  const int pid = h.ebr.register_participant();
+  const std::uint32_t a = 1, b = 2, c = 3, d = 4;
+  EbrDomain::Guard g(h.ebr, pid);
+  set->insert(a, pid);                // slot 0
+  const int sb = set->insert(b, pid);  // slot 1
+  const int sc = set->insert(c, pid);  // slot 2 == top
+  set->evict(b, pid);
+  EXPECT_FALSE(set->get_set()->contains(b));
+  EXPECT_EQ(set->get_set()->count, 2u);
+  EXPECT_EQ(set->insert(d, pid), sb) << "evicted slot not freed";
+  set->evict(c, pid);
+  EXPECT_FALSE(set->get_set()->contains(c)) << "top slot did not drain";
+  set->evict(b, pid);  // no longer a member: a no-op
+  EXPECT_EQ(set->get_set()->count, 2u);
+  EXPECT_TRUE(set->get_set()->contains(a));
+  EXPECT_TRUE(set->get_set()->contains(d));
+  EXPECT_EQ(set->insert(c, pid), sc);
+}
+
+// Two mappings of one named arena, at different bases: a set attached
+// through each resolves the same slots and snapshot handles, so an insert
+// through one accessor is visible to the other's getSet, and a remove
+// through the other is visible back.
+TEST(ActiveSetArena, TwoMappingsShareOneSet) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "/wfl_test_active_set_%d", ::getpid());
+  ShmArena owner = ShmArena::create_named(name, 4u << 20);
+  const std::uint64_t pool_off = IndexPool<WordSnap>::create_in(owner, 1024);
+  const std::uint64_t ebr_off = EbrDomain::create_in(owner, 2);
+  const std::uint64_t set_off = WordSet::create_in(owner, 4);
+  owner.publish_ready();
+  ShmArena view = ShmArena::attach_named(name);
+  ASSERT_NE(owner.base(), view.base());
+
+  IndexPool<WordSnap> pool_a(owner, pool_off);
+  IndexPool<WordSnap> pool_b(view, pool_off);
+  EbrDomain ebr_a(owner, ebr_off);
+  EbrDomain ebr_b(view, ebr_off);
+  SetMem<std::uint32_t> mem_a{pool_a, ebr_a};
+  SetMem<std::uint32_t> mem_b{pool_b, ebr_b};
+  WordSet set_a(owner, set_off, mem_a);
+  WordSet set_b(view, set_off, mem_b);
+  const int pid_a = ebr_a.register_participant();
+  const int pid_b = ebr_b.register_participant();
+
+  EbrDomain::Guard ga(ebr_a, pid_a);
+  EbrDomain::Guard gb(ebr_b, pid_b);
+  const int slot = set_a.insert(7, pid_a);
+  EXPECT_TRUE(set_b.get_set()->contains(7)) << "insert through A not seen by B";
+  EXPECT_NE(set_a.get_set(), set_b.get_set())
+      << "both accessors resolved to one address: not handle-addressed";
+  set_b.remove(slot, pid_b);
+  EXPECT_EQ(set_a.get_set()->count, 0u) << "remove through B not seen by A";
+  EXPECT_EQ(set_a.insert(9, pid_a), slot) << "slot freed through B not reused";
 }
 
 TEST(ActiveSet, GetSetIsConstantStepCount) {

@@ -123,6 +123,42 @@ TYPED_TEST(PoolTest, ConcurrentAllocFreeKeepsSlotsUnique) {
   EXPECT_EQ(pool->free_count(), pool->capacity());
 }
 
+// try_alloc on a nearly drained pool: 4 threads contend for the last 3
+// free slots, so pops keep losing their head CAS to the pop that empties
+// the freelist. Such a pop must report kNullIndex, never the stale head it
+// walked (the slot another thread now owns). Ownership is stamped into the
+// slot, as above; a stale pop that slips past the stamp is caught by the
+// double-free check when both owners free it.
+TYPED_TEST(PoolTest, ConcurrentTryAllocOnANearlyEmptyPoolKeepsSlotsUnique) {
+  auto pool = this->template make_pool<std::atomic<int>>(64);
+  const std::uint32_t cap = pool->capacity();
+  for (std::uint32_t i = 0; i + 3 < cap; ++i) (void)pool->alloc();
+  std::atomic<int> ready{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < 4; ++t) {
+    ts.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 4) {
+      }
+      for (int i = 0; i < 1'000'000; ++i) {
+        const std::uint32_t idx = pool->try_alloc();
+        if (idx == kNullIndex) continue;
+        int expected = 0;
+        if (!pool->at(idx).compare_exchange_strong(expected, t + 1)) {
+          failed.store(true);
+          return;  // not ours to free
+        }
+        pool->at(idx).store(0);
+        pool->free(idx);
+      }
+    });
+  }
+  for (auto& th : ts) th.join();
+  EXPECT_FALSE(failed.load()) << "two threads held the same pool slot";
+  EXPECT_EQ(pool->free_count(), 3u);
+}
+
 // Regression: allocation hands out *low* indices first. Applications use
 // pool indices as lock ids ("node i is protected by lock i") and size
 // their lock spaces accordingly; a pool that popped from the top of each

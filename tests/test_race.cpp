@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -219,7 +220,45 @@ TEST(Race, OutOfBandDescriptorLogWriteCaught) {
       << dump(eng);
 }
 
-// --- 6. Reproducers are deterministic and printed. ---
+// --- 6. Storage reuse: a new table starts with fresh shadows. ---
+//
+// A table's raw annotated atomics (the wake sink, the serial high-water
+// mark, the stats slabs, the pool heads) seed their shadows when built and
+// retire them when destroyed. Otherwise a table built in a destroyed
+// table's storage inherits its last instrumented writes, and the new
+// table's first hooked load — the wake-sink check every attempt makes —
+// reports a shadow mismatch against a write it never made.
+
+struct NullSink final : WakeSink {
+  void on_release(std::uint32_t, int) override {}
+};
+
+TEST(Race, TableBuiltInReusedStorageHasFreshShadows) {
+  RaceEngine eng;
+  eng.install();
+  LockConfig cfg;
+  cfg.delay_mode = DelayMode::kOff;
+  cfg.kappa = 1;
+  cfg.max_locks = 1;
+  NullSink sink;
+  alignas(Space) unsigned char storage[sizeof(Space)];
+  auto* first = new (storage) Space(cfg, 1, 1);
+  first->set_wake_sink(&sink);
+  first->~Space();
+  auto* second = new (storage) Space(cfg, 1, 1);
+  Simulator sim(3);
+  sim.add_process([second] {
+    auto proc = second->register_process();
+    const std::uint32_t ids[] = {0};
+    EXPECT_TRUE(second->try_locks(proc, ids, [](IdemCtx<CheckedPlat>&) {}));
+  });
+  RoundRobinSchedule sched(1);
+  ASSERT_TRUE(sim.run(sched, 1'000'000));
+  second->~Space();
+  EXPECT_TRUE(eng.findings().empty()) << dump(eng);
+}
+
+// --- 7. Reproducers are deterministic and printed. ---
 
 TEST(Race, DeterministicReproducer) {
   auto once = [] {
