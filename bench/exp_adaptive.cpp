@@ -76,7 +76,7 @@ AdaptiveOut run_adaptive(std::uint32_t kappa, std::uint32_t L, int attempts,
   UniformSchedule sched(static_cast<int>(kappa), seed ^ 0x2222);
   WFL_CHECK(sim.run(sched, 8'000'000'000ull));
   for (auto& pr : per) out.rate.merge(pr);
-  out.tbd_elims = space->tbd_eliminations();
+  out.tbd_elims = space->stats().tbd_eliminations;
   return out;
 }
 

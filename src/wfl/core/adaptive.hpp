@@ -39,24 +39,17 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
-#include "wfl/active/active_set.hpp"
 #include "wfl/active/multi_set.hpp"
 #include "wfl/core/attempt.hpp"
 #include "wfl/core/config.hpp"
 #include "wfl/core/descriptor.hpp"
-#include "wfl/core/lock_table.hpp"
-#include "wfl/core/process.hpp"
 #include "wfl/core/session.hpp"
+#include "wfl/core/table_core.hpp"
 #include "wfl/idem/idem.hpp"
 #include "wfl/mem/arena.hpp"
-#include "wfl/mem/ebr.hpp"
 #include "wfl/util/assert.hpp"
 #include "wfl/util/fixed_function.hpp"
 
@@ -109,152 +102,67 @@ struct alignas(kCacheLine) AdaptiveDescriptor {
 };
 
 template <typename Plat>
-class AdaptiveLockSpace {
+class AdaptiveLockSpace : public TableCore<Plat, AdaptiveDescriptor<Plat>> {
+  using Core = TableCore<Plat, AdaptiveDescriptor<Plat>>;
+
  public:
-  using Platform = Plat;
-  using Desc = AdaptiveDescriptor<Plat>;
-  using Thunk = typename Desc::Thunk;
-  using Set = ActiveSet<Plat, Desc*>;
-  using Handle = ProcessHandle<Plat, Desc>;
+  using typename Core::Desc;
+  using typename Core::Handle;
+  using typename Core::Process;
+  using typename Core::Thunk;
 
-  struct Process {
-    int ebr_pid = -1;
-  };
-
-  // No κ/L/T promises needed; `max_procs` (the paper's P) sizes the arrays.
-  AdaptiveLockSpace(int max_procs, int num_locks, SpaceSizing sizing = {})
-      : max_procs_(max_procs),
-        snap_pool_(sizing.snap_pool_capacity != 0
-                       ? sizing.snap_pool_capacity
-                       : std::max<std::uint32_t>(
-                             16384, static_cast<std::uint32_t>(max_procs) *
-                                        1024)),
-        desc_pool_(sizing.desc_pool_capacity != 0
-                       ? sizing.desc_pool_capacity
-                       : std::max<std::uint32_t>(
-                             1024,
-                             static_cast<std::uint32_t>(max_procs) * 128)),
-        desc_caches_(static_cast<std::size_t>(std::max(max_procs, 1))),
-        snap_caches_(static_cast<std::size_t>(std::max(max_procs, 1))),
-        ebr_(max_procs),
-        mem_{snap_pool_, ebr_, snap_caches_.data()},
-        handles_(static_cast<std::size_t>(std::max(max_procs, 1))) {
-    WFL_CHECK(max_procs > 0 && num_locks > 0);
-    WFL_CHECK(static_cast<std::uint32_t>(max_procs) <= kMaxSetCap);
-    for (auto& c : desc_caches_) c->bind(&desc_pool_);
-    for (auto& c : snap_caches_) c->bind(&snap_pool_);
-    locks_.reserve(static_cast<std::size_t>(num_locks));
-    for (int i = 0; i < num_locks; ++i) {
-      locks_.push_back(std::make_unique<Set>(
-          static_cast<std::uint32_t>(max_procs), mem_));
-    }
-    race::created(&serial_hwm_, 1);  // see LockTable's constructor
-  }
-
-  ~AdaptiveLockSpace() { race::destroyed(&serial_hwm_); }
-
-  // Same handle scheme as LockTable (core/process.hpp), with one shard:
-  // striped stats and serial blocks, so this variant's hot path is also
-  // free of process-shared counter writes. Slots released by destroyed
-  // sessions are reused, handle and all (see LockTable::register_process).
+  // No κ/L/T promises needed; `max_procs` (the paper's P) sizes the
+  // announcement arrays. One shard: the core's registry, pools and guards
+  // with S = 1.
   //
-  // No embedded fast-path descriptor (with_fast_desc stays false): the
-  // §5.1 thin-word protocol depends on an attempt's priority existing
-  // before publication, while this variant's guess-and-double reveal
-  // schedule is the whole point — and an AdaptiveDescriptor carries L
-  // frozen snapshot lists, so the embedded copy would cost ~5KB per
-  // handle for a path the space cannot take. Cooperative helping is
-  // likewise not applied here: the §6.2 adaptivity argument leans on
-  // every observer finishing revealed competitors, exactly like kTheory
-  // mode (DESIGN.md §5.2).
-  Process register_process() {
-    std::lock_guard<std::mutex> lk(reg_mutex_);
-    if (!free_pids_.empty()) {
-      const int pid = free_pids_.back();
-      free_pids_.pop_back();
-      return Process{pid};
-    }
-    const int pid = ebr_.register_participant();
-    WFL_CHECK(pid >= 0 && pid < static_cast<int>(handles_.size()));
-    handles_[static_cast<std::size_t>(pid)] = std::make_unique<Handle>(
-        pid, /*num_shards=*/1, serial_hwm_);
-    registered_.store(pid + 1, std::memory_order_release);
-    return Process{pid};
-  }
-
-  // Inspector guard (re-entrant through the handle's depth counter) and the
-  // session lifecycle hooks — the same surface LockTable exposes, so
-  // BasicSession serves both spaces.
-  void ebr_enter(Process p) { guard_enter(handle(p)); }
-  void ebr_exit(Process p) { guard_exit(handle(p)); }
-
-  void abandon_process(Process p) {
-    WFL_CHECK(p.ebr_pid >= 0);
-    ebr_.abandon(p.ebr_pid);
-  }
-
-  // See LockTable::release_process: orderly ends recycle the slot; a
-  // crash-parked process (nonzero guard depth) is abandoned and retired.
-  // Either way the process's slot caches are spilled back to the shared
-  // pools so a retired pid leaks nothing.
-  void release_process(Process p) {
-    WFL_CHECK(p.ebr_pid >= 0);
-    Handle& h = handle(p);
-    const bool parked_in_guard = h.guard_depth(0) != 0;
-    ebr_.abandon(p.ebr_pid);
-    const auto pidx = static_cast<std::size_t>(p.ebr_pid);
-    desc_caches_[pidx]->drain();
-    snap_caches_[pidx]->drain();
-    if (parked_in_guard) return;
-    std::lock_guard<std::mutex> lk(reg_mutex_);
-    free_pids_.push_back(p.ebr_pid);
-  }
-
-  int num_locks() const { return static_cast<int>(locks_.size()); }
-  int max_procs() const { return max_procs_; }
+  // No embedded fast-path descriptor: the §5.1 thin-word protocol depends
+  // on an attempt's priority existing before publication, while this
+  // variant's guess-and-double reveal schedule is the whole point — and an
+  // AdaptiveDescriptor carries L frozen snapshot lists, so the embedded
+  // copy would cost ~5KB per handle for a path the space cannot take.
+  // Cooperative helping is likewise not applied here: the §6.2 adaptivity
+  // argument leans on every observer finishing revealed competitors,
+  // exactly like kTheory mode (DESIGN.md §5.2).
+  AdaptiveLockSpace(int max_procs, int num_locks)
+      : Core(max_procs, num_locks,
+             {/*shards=*/1,
+              std::max<std::uint32_t>(
+                  16384, static_cast<std::uint32_t>(max_procs) * 1024),
+              std::max<std::uint32_t>(
+                  1024, static_cast<std::uint32_t>(max_procs) * 128),
+              /*set_capacity=*/static_cast<std::uint32_t>(max_procs),
+              /*fast_desc=*/false}) {}
 
   bool try_locks(Process proc, std::span<const std::uint32_t> lock_ids,
                  Thunk thunk, AttemptInfo* info = nullptr) {
-    Handle& h = handle(proc);
+    Handle& h = this->handle(proc);
     WFL_CHECK(lock_ids.size() <= kMaxLocksPerAttempt);
     h.stats().add_attempt();
-    if (lock_ids.empty()) {
-      if (thunk) {
-        ThunkLog<Plat>& local_log = h.local_log();
-        IdemCtx<Plat> m(local_log, 0);
-        thunk(m);
-        local_log.note_used(m.ops_used());
-        h.stats().add_log_slot_resets(local_log.reset_used());
-      }
-      h.stats().add_win();
-      if (info != nullptr) *info = AttemptInfo{true, 0, 0, 0};
-      return true;
-    }
+    if (lock_ids.empty()) return Core::run_alone(h, thunk, info);
 
     const std::uint64_t start_steps = Plat::steps();
-    SlotCache<Desc>& dcache =
-        *desc_caches_[static_cast<std::size_t>(proc.ebr_pid)];
+    SlotCache<Desc>& dcache = this->desc_cache(0, h.pid());
     const std::uint32_t didx = dcache.alloc();
-    Desc& d = desc_pool_.at(didx);
+    Desc& d = dcache.pool().at(didx);
     h.reinit(d);
     d.lock_count = static_cast<std::uint32_t>(lock_ids.size());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
-      WFL_CHECK(lock_ids[i] < locks_.size());
+      WFL_CHECK(lock_ids[i] < static_cast<std::uint32_t>(this->num_locks()));
       d.lock_ids[i] = lock_ids[i];
     }
     d.thunk = std::move(thunk);
 
-    AdaptiveCtx cx{*this, h};
+    AdaptiveCtx cx{h};
 
     // Help phase: finish everyone already visible on our locks. A member
     // still in its TBD window has no revealed priority yet, so it is not a
     // "known-priority" threat and is skipped (run() would defer on it
     // anyway); everyone revealed is driven to a decision.
-    guard_enter(h);
+    this->shard_enter(h, 0);
     {
       MemberList<Desc*>& members = h.help_scratch();
       for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        multi_get_set<Plat>(*locks_[d.lock_ids[i]], members);
+        multi_get_set<Plat>(this->lock_set(d.lock_ids[i]), members);
         for (Desc* q : members) {
           if (q->priority.load() > 0) {
             h.stats().add_help();
@@ -265,9 +173,9 @@ class AdaptiveLockSpace {
     }
     // Insert into every lock's set (still unflagged).
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      d.slot_of_lock[i] = locks_[d.lock_ids[i]]->insert(&d, proc.ebr_pid);
+      d.slot_of_lock[i] = this->lock_set(d.lock_ids[i]).insert(&d, h.pid());
     }
-    guard_exit(h);
+    this->shard_exit(h, 0);
     const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
 
     // Guess-and-double: pad the variable-length pre-participation work to
@@ -279,22 +187,22 @@ class AdaptiveLockSpace {
     // Freeze the competition: snapshot every lock's membership. These
     // snapshots fix the potential-threatener set *before* our priority
     // exists anywhere.
-    guard_enter(h);
+    this->shard_enter(h, 0);
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      multi_get_set<Plat>(*locks_[d.lock_ids[i]], d.snaps[i]);
+      multi_get_set<Plat>(this->lock_set(d.lock_ids[i]), d.snaps[i]);
     }
-    guard_exit(h);
+    this->shard_exit(h, 0);
 
     d.priority.store(draw_priority<Plat>());  // priority-reveal
     const std::uint64_t reveal_steps = Plat::steps();
 
-    guard_enter(h);
+    this->shard_enter(h, 0);
     run(cx, d);
     d.clear_flag();
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      locks_[d.lock_ids[i]]->remove(d.slot_of_lock[i], proc.ebr_pid);
+      this->lock_set(d.lock_ids[i]).remove(d.slot_of_lock[i], h.pid());
     }
-    guard_exit(h);
+    this->shard_exit(h, 0);
     const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
 
     // Pad the post-reveal segment the same way, fixing the attempt's end
@@ -303,8 +211,8 @@ class AdaptiveLockSpace {
 
     const bool won = d.status.load() == kStatusWon;
     if (won) h.stats().add_win();
-    ebr_.retire(proc.ebr_pid, &dcache, didx,
-                &SlotCache<Desc>::free_to_cache);
+    this->ebr(0).retire(h.pid(), &dcache, didx,
+                        &SlotCache<Desc>::free_to_cache);
     if (info != nullptr) {
       // Unified accounting (executor.hpp): the work segments exclude the
       // guess-and-double padding, mirroring the known-bounds table's
@@ -317,58 +225,16 @@ class AdaptiveLockSpace {
     return won;
   }
 
-  // Aggregates the striped per-process slabs (see LockTable::stats()).
-  LockStats stats() const {
-    LockStats s;
-    const int n = registered_.load(std::memory_order_acquire);
-    for (int i = 0; i < n; ++i) {
-      const auto& h = handles_[static_cast<std::size_t>(i)];
-      if (h != nullptr) h->stats().accumulate_into(s);
-    }
-    return s;
-  }
-
-  std::uint64_t tbd_eliminations() const {
-    std::uint64_t total = 0;
-    const int n = registered_.load(std::memory_order_acquire);
-    for (int i = 0; i < n; ++i) {
-      const auto& h = handles_[static_cast<std::size_t>(i)];
-      if (h != nullptr) {
-        total += h->stats().tbd_eliminations.load(std::memory_order_relaxed);
-      }
-    }
-    return total;
-  }
-
  private:
   // The shared engine supplies decide/eliminate/celebrateIfWon (the
   // snapshot-driven competition loop below stays local: it is the §6.2
   // variant's difference from Algorithm 3, not a storage concern).
   struct AdaptiveCtx {
-    AdaptiveLockSpace& s;
     Handle& h;
     using Desc = AdaptiveLockSpace::Desc;
     StatsSlab& stats() { return h.stats(); }
   };
-  friend struct AdaptiveCtx;
   using Engine = AttemptEngine<Plat, AdaptiveCtx>;
-
-  Handle& handle(Process proc) {
-    WFL_CHECK(proc.ebr_pid >= 0 &&
-              proc.ebr_pid < static_cast<int>(handles_.size()) &&
-              handles_[static_cast<std::size_t>(proc.ebr_pid)] != nullptr);
-    return *handles_[static_cast<std::size_t>(proc.ebr_pid)];
-  }
-
-  // Re-entrant guard over the single EBR domain, through the handle's
-  // depth counter — so an inspector's EbrGuard can wrap a whole attempt.
-  void guard_enter(Handle& h) {
-    if (h.guard_depth(0)++ == 0) ebr_.enter(h.pid());
-  }
-  void guard_exit(Handle& h) {
-    WFL_DASSERT(h.guard_depth(0) > 0);
-    if (--h.guard_depth(0) == 0) ebr_.exit(h.pid());
-  }
 
   // The competition, against the subject's frozen snapshots. Callable for
   // self (after priority-reveal) or as help for a revealed descriptor.
@@ -410,23 +276,6 @@ class AdaptiveLockSpace {
     while (target < w) target <<= 1;
     while (Plat::steps() - base < target) Plat::step();
   }
-
-  // Caches are declared before ebr_ (destroyed after it): EBR teardown
-  // pushes retired slots through them. mem_ references snap_caches_.
-  int max_procs_;
-  IndexPool<SetSnap<Desc*>> snap_pool_;
-  IndexPool<Desc> desc_pool_;
-  std::vector<CachePadded<SlotCache<Desc>>> desc_caches_;
-  std::vector<CachePadded<SlotCache<SetSnap<Desc*>>>> snap_caches_;
-  EbrDomain ebr_;
-  SetMem<Desc*> mem_;
-  std::vector<std::unique_ptr<Set>> locks_;
-
-  std::atomic<std::uint64_t> serial_hwm_{1};
-  std::mutex reg_mutex_;
-  std::vector<std::unique_ptr<Handle>> handles_;
-  std::vector<int> free_pids_;  // released slots awaiting reuse (reg_mutex_)
-  std::atomic<int> registered_{0};
 };
 
 // RAII session over the adaptive space (see core/session.hpp); works with

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -46,6 +45,7 @@
 #include "wfl/core/lock_set.hpp"
 #include "wfl/core/lock_table.hpp"
 #include "wfl/core/session.hpp"
+#include "wfl/core/table_core.hpp"
 #include "wfl/idem/idem.hpp"
 #include "wfl/util/assert.hpp"
 
@@ -136,7 +136,7 @@ struct WflBackend {
     return ::wfl::submit_batch(session, ops, policy, per_op);
   }
 
-  // Crash-harness hook: see LockTable::abandon_process.
+  // Crash-harness hook: see TableCore::abandon_process.
   static void abandon(Space& space, const Session& session) {
     space.abandon_process(session.process());
   }
@@ -208,39 +208,9 @@ using resolve_backend_t =
 // Plumbing shared by the baseline backends.
 // ---------------------------------------------------------------------------
 
-// Bounded process-slot allocator with reuse, for spaces whose underlying
-// implementation has no (or non-recycling) registration. Registration is
-// off every attempt path, so a plain mutex is fine (and is outside the
-// step model for the same reason reclamation is — DESIGN.md #2).
-class ProcSlots {
- public:
-  explicit ProcSlots(int max_procs) {
-    WFL_CHECK(max_procs > 0);
-    free_.reserve(static_cast<std::size_t>(max_procs));
-    for (int i = max_procs; i-- > 0;) free_.push_back(i);
-  }
-
-  int acquire() {
-    std::lock_guard<std::mutex> g(mu_);
-    WFL_CHECK_MSG(!free_.empty(),
-                  "live sessions exceed the space's max_procs");
-    const int pid = free_.back();
-    free_.pop_back();
-    return pid;
-  }
-
-  void release(int pid) {
-    std::lock_guard<std::mutex> g(mu_);
-    free_.push_back(pid);
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<int> free_;
-};
-
 // The RAII session every baseline backend uses: owns one pid slot of one
-// baseline space (acquire_pid/release_pid), mirroring BasicSession's
+// baseline space (acquire_pid/release_pid, backed by the lock spaces' own
+// ProcSlots allocator in core/table_core.hpp), mirroring BasicSession's
 // move-only shape.
 template <typename SpaceT>
 class SlotSession {

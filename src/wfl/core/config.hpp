@@ -90,6 +90,8 @@ struct LockStats {
   std::uint64_t thunk_runs = 0;     // celebrateIfWon executions that ran code
   std::uint64_t t0_overruns = 0;    // pre-reveal work exceeded T0 (must be 0)
   std::uint64_t t1_overruns = 0;    // post-reveal work exceeded T1 (must be 0)
+  std::uint64_t tbd_eliminations = 0;  // adaptive space only: TBD snapshot
+                                       // members eliminated (§6.2)
   std::uint64_t log_slot_resets = 0;  // thunk-log slots re-inited by reinit
                                       // (lazy reset: O(ops used) per attempt)
   // Contended-path optimizations (DESIGN.md §5; all 0 under kTheory):

@@ -246,31 +246,19 @@ Outcome submit(BasicSession<Space>& session, LockSetView locks, const F& f,
 
 // RAII guard-amortization primitive shared by submit_batch and
 // submit_txn_batch: add() every lock id of the batch, then enter() once;
-// the destructor exits whatever was entered. On spaces with shard routing
-// (the LockTable surface: shard_of + guard_shard_enter/exit) exactly the
-// batch's shard footprint is covered, leaving reclamation everywhere else
-// untouched; other spaces fall back to the whole-space inspector guard.
+// the destructor exits whatever was entered. Exactly the batch's shard
+// footprint is covered (core/table_core.hpp routes both spaces' locks to
+// shards), leaving reclamation everywhere else untouched.
 template <typename Space>
 class BatchShardGuard {
-  static constexpr bool kSharded =
-      requires(Space& s, typename Space::Process p) {
-        s.shard_of(std::uint32_t{0});
-        s.guard_shard_enter(p, std::uint32_t{0});
-        s.guard_shard_exit(p, std::uint32_t{0});
-      };
-
  public:
   BatchShardGuard(Space& space, typename Space::Process proc)
       : space_(space), proc_(proc) {}
 
   ~BatchShardGuard() {
     if (!entered_) return;
-    if constexpr (kSharded) {
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        space_.guard_shard_exit(proc_, shards_[j]);
-      }
-    } else {
-      space_.ebr_exit(proc_);
+    for (std::uint32_t j = 0; j < n_; ++j) {
+      space_.guard_shard_exit(proc_, shards_[j]);
     }
   }
 
@@ -279,23 +267,17 @@ class BatchShardGuard {
 
   void add(std::uint32_t lock_id) {
     WFL_DASSERT(!entered_);
-    if constexpr (kSharded) {
-      const std::uint32_t s = space_.shard_of(lock_id);
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        if (shards_[j] == s) return;
-      }
-      WFL_DASSERT(n_ < kMaxShards);
-      shards_[n_++] = s;
+    const std::uint32_t s = space_.shard_of(lock_id);
+    for (std::uint32_t j = 0; j < n_; ++j) {
+      if (shards_[j] == s) return;
     }
+    WFL_DASSERT(n_ < kMaxShards);
+    shards_[n_++] = s;
   }
 
   void enter() {
-    if constexpr (kSharded) {
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        space_.guard_shard_enter(proc_, shards_[j]);
-      }
-    } else {
-      space_.ebr_enter(proc_);
+    for (std::uint32_t j = 0; j < n_; ++j) {
+      space_.guard_shard_enter(proc_, shards_[j]);
     }
     entered_ = true;
   }
@@ -320,8 +302,7 @@ class BatchShardGuard {
 //     flowing) are pre-entered once around the whole batch, so every
 //     per-attempt guard acquisition inside collapses to a re-entrancy
 //     depth bump (plain private increment) instead of a fence + seq_cst
-//     epoch validation. Spaces without shard routing fall back to the
-//     whole-space inspector guard. The guards are NOT pre-entered in
+//     epoch validation. The guards are NOT pre-entered in
 //     kTheory mode: there an attempt deliberately releases them across
 //     its delay segments to keep reclamation flowing, and a batch-held
 //     guard would defeat that.

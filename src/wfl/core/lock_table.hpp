@@ -28,15 +28,16 @@
 //
 // Locks are distributed over S = 2^k independent shards (lock id & (S-1)).
 // Each shard owns a descriptor pool, a snapshot pool, and an EBR domain of
-// its own, so the memory-management traffic of an attempt — pool freelist
-// CASes, snapshot churn, epoch advancement — stays inside the shards its
-// lock set touches. A single-lock attempt is routed entirely through its
-// home shard: it allocates, competes, and reclaims there and writes no
-// other shard's cachelines. The per-process counters that the monolith
-// shared globally (serial, stats) are striped into ProcessHandles
-// (core/process.hpp), so the only cross-shard communication left is the
-// algorithm's own descriptor CASes — which the competition semantics
-// require and the paper's step bounds already price in.
+// its own (the storage, registry and guards are core/table_core.hpp,
+// shared with the adaptive space), so the memory-management traffic of an
+// attempt — pool freelist CASes, snapshot churn, epoch advancement — stays
+// inside the shards its lock set touches. A single-lock attempt is routed
+// entirely through its home shard: it allocates, competes, and reclaims
+// there and writes no other shard's cachelines. The per-process counters
+// that the monolith shared globally (serial, stats) are striped into
+// ProcessHandles (core/process.hpp), so the only cross-shard communication
+// left is the algorithm's own descriptor CASes — which the competition
+// semantics require and the paper's step bounds already price in.
 //
 // A multi-lock attempt whose locks straddle shards works unchanged: the
 // descriptor (homed in the shard of its first lock) is inserted into every
@@ -88,23 +89,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
 
-#include "wfl/active/active_set.hpp"
 #include "wfl/active/multi_set.hpp"
 #include "wfl/core/attempt.hpp"
 #include "wfl/core/config.hpp"
 #include "wfl/core/descriptor.hpp"
 #include "wfl/core/lock_set.hpp"
-#include "wfl/core/process.hpp"
+#include "wfl/core/table_core.hpp"
 #include "wfl/fuzz/sites.hpp"
-#include "wfl/idem/idem.hpp"
-#include "wfl/mem/arena.hpp"
-#include "wfl/mem/ebr.hpp"
 #include "wfl/util/assert.hpp"
 
 namespace wfl {
@@ -115,8 +110,6 @@ struct SpaceSizing {
   std::uint32_t desc_pool_capacity = 0;  // initial descriptors per shard
   std::uint32_t shards = 0;              // shard count (power of two)
 };
-
-inline constexpr std::uint32_t kMaxShards = 16;
 
 // Release-event sink: a runtime (the async executor) installs one to learn
 // when a lock's competition state changed — a descriptor left the lock's
@@ -141,134 +134,39 @@ class WakeSink {
   ~WakeSink() = default;
 };
 
-class ShmLockTable;  // core/shm_table.hpp: cross-process placement
-
 template <typename Plat>
-class LockTable {
+class LockTable : public TableCore<Plat, Descriptor<Plat>> {
+  using Core = TableCore<Plat, Descriptor<Plat>>;
+
  public:
-  using Platform = Plat;
-  using Desc = Descriptor<Plat>;
-  using Thunk = typename Desc::Thunk;
-  using Set = ActiveSet<Plat, Desc*>;
-  using Handle = ProcessHandle<Plat, Desc>;
-
-  // Shared-memory placement factories (defined in core/shm_table.hpp,
-  // which callers include to use them). The shm table is a distinct type —
-  // offset-addressed, POD thunks, single shard — not this class placed in
-  // a mapping; these exist so "give me a lock table in that arena" reads
-  // at the same API surface as the in-process constructor. RealPlat only.
-  static std::unique_ptr<ShmLockTable> create_in(ShmArena& shm,
-                                                 const LockConfig& cfg,
-                                                 int max_procs,
-                                                 int num_locks);
-  static std::unique_ptr<ShmLockTable> attach(ShmArena& shm);
-
-  // A per-logical-process name (dense id; also the participant id in every
-  // shard's EBR domain). Cheap value type; each OS thread / sim fiber
-  // registers once and passes it to try_locks.
-  struct Process {
-    int ebr_pid = -1;
-  };
+  using typename Core::Desc;
+  using typename Core::Handle;
+  using typename Core::Process;
+  using typename Core::Set;
+  using typename Core::Thunk;
+  using Core::handle;
+  using Core::shard_of;
 
   LockTable(const LockConfig& cfg, int max_procs, int num_locks,
             SpaceSizing sizing = {})
-      : cfg_(cfg),
-        max_procs_(max_procs),
-        num_shards_(sizing.shards != 0 ? sizing.shards
-                                       : auto_shards(max_procs, num_locks)),
-        thin_(static_cast<std::size_t>(std::max(num_locks, 1))),
-        handles_(static_cast<std::size_t>(std::max(max_procs, 1))) {
-    cfg_.validate();
-    WFL_CHECK(max_procs > 0 && num_locks > 0);
-    WFL_CHECK_MSG(max_procs < (1 << 15),
-                  "thin-word owner encoding caps max_procs at 2^15 - 1");
-    WFL_CHECK(cfg_.max_locks <= kMaxLocksPerAttempt);
-    WFL_CHECK(cfg_.max_thunk_steps <= kMaxThunkOps);
-    WFL_CHECK(cfg_.kappa <= kMaxSetCap);
-    WFL_CHECK_MSG(num_shards_ >= 1 && num_shards_ <= kMaxShards &&
-                      (num_shards_ & (num_shards_ - 1)) == 0,
-                  "shard count must be a power of two in [1, kMaxShards]");
-
-    const std::uint32_t snap_cap =
-        sizing.snap_pool_capacity != 0
-            ? sizing.snap_pool_capacity
-            : per_shard(auto_snap_capacity(max_procs), 512);
-    const std::uint32_t desc_cap =
-        sizing.desc_pool_capacity != 0
-            ? sizing.desc_pool_capacity
-            : per_shard(auto_desc_capacity(max_procs), 128);
-
-    mem_.reserve(num_shards_);
-    caches_.reserve(num_shards_);
-    ebr_.reserve(num_shards_);
-    set_mem_.reserve(num_shards_);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      mem_.push_back(std::make_unique<ShardMem>(snap_cap, desc_cap));
-      caches_.push_back(std::make_unique<ShardCaches>(
-          static_cast<std::size_t>(max_procs), *mem_[s]));
-      ebr_.push_back(std::make_unique<EbrDomain>(max_procs));
-      set_mem_.push_back(SetMem<Desc*>{mem_[s]->snap_pool, *ebr_[s],
-                                       caches_[s]->snap.data()});
-    }
-    locks_.reserve(static_cast<std::size_t>(num_locks));
-    for (int i = 0; i < num_locks; ++i) {
-      locks_.push_back(std::make_unique<Set>(
-          cfg_.kappa, set_mem_[shard_of(static_cast<std::uint32_t>(i))]));
-    }
+      : Core(max_procs, num_locks, layout(cfg, max_procs, num_locks, sizing)),
+        cfg_(cfg),
+        thin_(static_cast<std::size_t>(num_locks)) {
     // The practical-mode optimizations are hard-gated on kOff: with the
     // paper's delays on, every execution is bit-identical to the pre-
     // fast-path tree (the thin words are never published, and the slow
     // path's probes are skipped entirely).
     fast_enabled_ = cfg_.delay_mode == DelayMode::kOff && cfg_.fast_path;
     cooperative_ = cfg_.delay_mode == DelayMode::kOff;
-    // Raw atomics with hooked accesses: seed their shadows, and retire them
-    // in the destructor, so a table built in reused storage cannot alias a
+    // Raw atomic with hooked accesses: seed its shadow, and retire it in
+    // the destructor, so a table built in reused storage cannot alias a
     // previous table's tracked state.
-    race::created(&serial_hwm_, 1);
     race::created(&wake_sink_, 0);
   }
 
-  ~LockTable() {
-    race::destroyed(&serial_hwm_);
-    race::destroyed(&wake_sink_);
-  }
+  ~LockTable() { race::destroyed(&wake_sink_); }
 
-  // Registers the calling logical process: one participant slot in every
-  // shard's EBR domain (all under one id) plus a ProcessHandle carrying its
-  // striped hot state. A slot released by a destroyed Session is reused
-  // (its handle — stats, serial block, scratch — carries over, so table-
-  // level stats stay monotone across session generations). Not on the
-  // attempt path; serialized by a mutex so the per-shard participant ids
-  // stay aligned.
-  Process register_process() {
-    std::lock_guard<std::mutex> lk(reg_mutex_);
-    if (!free_pids_.empty()) {
-      const int pid = free_pids_.back();
-      free_pids_.pop_back();
-      return Process{pid};
-    }
-    int pid = -1;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      const int p = ebr_[s]->register_participant();
-      WFL_CHECK_MSG(s == 0 || p == pid,
-                    "shard EBR domains disagree on participant id");
-      pid = p;
-    }
-    WFL_CHECK(pid >= 0 && pid < static_cast<int>(handles_.size()));
-    handles_[static_cast<std::size_t>(pid)] = std::make_unique<Handle>(
-        pid, num_shards_, serial_hwm_, /*with_fast_desc=*/true);
-    registered_.store(pid + 1, std::memory_order_release);
-    return Process{pid};
-  }
-
-  int num_locks() const { return static_cast<int>(locks_.size()); }
-  int max_procs() const { return max_procs_; }
-  std::uint32_t num_shards() const { return num_shards_; }
   const LockConfig& config() const { return cfg_; }
-
-  std::uint32_t shard_of(std::uint32_t lock_id) const {
-    return lock_id & (num_shards_ - 1);
-  }
 
   // Installs (or clears, with nullptr) the release-event sink. Callers
   // install before submitting any traffic they want notifications for;
@@ -277,19 +175,6 @@ class LockTable {
     wake_sink_.store(sink, std::memory_order_release);
     WFL_CHK_ATOMIC(&wake_sink_, kStore, release, kWakeSinkInstall,
                    reinterpret_cast<std::uintptr_t>(sink));
-  }
-
-  // True iff `p` currently holds any shard's EBR guard. Attempts exit all
-  // guards before returning, so this is false between attempts — the
-  // async executor asserts it before parking a submission (a parked
-  // session holding a guard would stall reclamation indefinitely).
-  bool any_guard_held(Process p) { return handle(p).any_guard_depth(); }
-
-  Handle& handle(Process proc) {
-    WFL_CHECK(proc.ebr_pid >= 0 &&
-              proc.ebr_pid < static_cast<int>(handles_.size()) &&
-              handles_[static_cast<std::size_t>(proc.ebr_pid)] != nullptr);
-    return *handles_[static_cast<std::size_t>(proc.ebr_pid)];
   }
 
   // One tryLock attempt on `lock_ids` running `thunk` if all locks are
@@ -332,26 +217,12 @@ class LockTable {
   bool attempt(Process proc, std::span<const std::uint32_t> lock_ids,
                Thunk thunk, AttemptInfo* info) {
     Handle& h = handle(proc);
+    const auto n_locks = static_cast<std::uint32_t>(this->num_locks());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
-      WFL_CHECK_MSG(lock_ids[i] < locks_.size(), "lock id out of range");
+      WFL_CHECK_MSG(lock_ids[i] < n_locks, "lock id out of range");
     }
     h.stats().add_attempt();
-
-    if (lock_ids.empty()) {
-      // Degenerate attempt: nothing to contend on; run the thunk alone on
-      // the handle's private scratch log (reused + lazily reset across
-      // attempts — no 1KB of slot re-init per call).
-      if (thunk) {
-        ThunkLog<Plat>& local_log = h.local_log();
-        IdemCtx<Plat> ctx(local_log, 0);
-        thunk(ctx);
-        local_log.note_used(ctx.ops_used());
-        h.stats().add_log_slot_resets(local_log.reset_used());
-        h.stats().add_thunk_run();
-      }
-      h.stats().add_win();
-      return true;
-    }
+    if (lock_ids.empty()) return Core::run_alone(h, thunk, info);
 
     // Thin-word fast path: a single-lock attempt whose embedded descriptor
     // is warm tries to decide through the lock's thin word. A contended or
@@ -364,21 +235,16 @@ class LockTable {
 
     const std::uint64_t start_steps = Plat::steps();
 
-    // The attempt's shard footprint. `home` (the first lock's shard) hosts
-    // the descriptor; for a single-lock attempt the footprint is exactly
-    // {home} and nothing below touches any other shard.
+    // The attempt's shard footprint. The home shard (the first lock's)
+    // hosts the descriptor, drawn from this process's cache there; for a
+    // single-lock attempt the footprint is exactly {home} and nothing below
+    // touches any other shard.
     std::uint32_t att_shards[kMaxLocksPerAttempt];
-    const std::uint32_t n_att_shards = shard_footprint(lock_ids, att_shards);
-    const std::uint32_t home = shard_of(lock_ids[0]);
-    ShardMem& hm = *mem_[home];
-
-    // Descriptor slots flow through the process's home-shard cache: alloc
-    // pops it here and the EBR deleter pushes the slot back to it, so a
-    // steady-state attempt never touches the shared freelist (arena.hpp).
-    SlotCache<Desc>& dcache =
-        *caches_[home]->desc[static_cast<std::size_t>(h.pid())];
+    const std::uint32_t n_att_shards =
+        this->shard_footprint(lock_ids, att_shards);
+    SlotCache<Desc>& dcache = this->desc_cache(shard_of(lock_ids[0]), h.pid());
     const std::uint32_t didx = dcache.alloc();
-    Desc& d = hm.desc_pool.at(didx);
+    Desc& d = dcache.pool().at(didx);
     h.reinit(d);
     d.lock_count = static_cast<std::uint32_t>(lock_ids.size());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
@@ -394,11 +260,11 @@ class LockTable {
     AttemptCtx cx{*this, h};
 
     // --- work segment 1: help phase + multiInsert (lines 17-21) ---
-    enter_shards(h, att_shards, n_att_shards);
+    this->enter_shards(h, att_shards, n_att_shards);
     if (cfg_.help_phase) {
       MemberList<Desc*>& members = h.help_scratch();
       for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        multi_get_set<Plat>(*locks_[d.lock_ids[i]], members);
+        multi_get_set<Plat>(this->lock_set(d.lock_ids[i]), members);
         for (Desc* q : members) {
           h.stats().add_help();
           Engine::help(cx, *q);
@@ -413,9 +279,9 @@ class LockTable {
       }
     }
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      d.slot_of_lock[i] = locks_[d.lock_ids[i]]->insert(&d, h.pid());
+      d.slot_of_lock[i] = this->lock_set(d.lock_ids[i]).insert(&d, h.pid());
     }
-    exit_shards(h, att_shards, n_att_shards);
+    this->exit_shards(h, att_shards, n_att_shards);
     const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
 
     // --- the reveal step, pinned to exactly T0 own steps (lines 10-11) ---
@@ -425,13 +291,13 @@ class LockTable {
     const std::uint64_t reveal_steps = Plat::steps();
 
     // --- work segment 2: compete, then multiRemove (lines 22-23) ---
-    enter_shards(h, att_shards, n_att_shards);
+    this->enter_shards(h, att_shards, n_att_shards);
     Engine::run(cx, d);
     d.clear_flag();
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      locks_[d.lock_ids[i]]->remove(d.slot_of_lock[i], h.pid());
+      this->lock_set(d.lock_ids[i]).remove(d.slot_of_lock[i], h.pid());
     }
-    exit_shards(h, att_shards, n_att_shards);
+    this->exit_shards(h, att_shards, n_att_shards);
     const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
 
     // The descriptor left every lock's set: waiters parked on those locks
@@ -449,8 +315,8 @@ class LockTable {
     // recycled — back into this process's home-shard cache — by the last
     // grace period to expire (see retire_refs).
     for (std::uint32_t s = 0; s < n_att_shards; ++s) {
-      ebr_[att_shards[s]]->retire(h.pid(), &dcache, didx,
-                                  &release_descriptor);
+      this->ebr(att_shards[s]).retire(h.pid(), &dcache, didx,
+                                      &release_descriptor);
     }
     if (info != nullptr) {
       info->won = won;
@@ -523,8 +389,8 @@ class LockTable {
       WFL_FUZZ_SITE(kSiteThinRevocation);
       w.store(0);
       h.begin_fast_cooldown();
-      ebr_[shard_of(lock_id)]->retire(h.pid(), &h, 0,
-                                      &Handle::fast_cooldown_expired);
+      this->ebr(shard_of(lock_id)).retire(h.pid(), &h, 0,
+                                          &Handle::fast_cooldown_expired);
       h.stats().add_fastpath_revocation();
     }
     // Publication gone (released or revoked+cleared): post the release
@@ -568,146 +434,10 @@ class LockTable {
       const int pid = thin_pid(v);
       if (pid == h.pid()) return nullptr;  // own publication
       if ((v & kThinObserved) != 0 || w.cas(v, v | kThinObserved)) {
-        return &handles_[static_cast<std::size_t>(pid)]->fast_desc();
+        return &handle(Process{pid}).fast_desc();
       }
     }
     return nullptr;
-  }
-
- public:
-  // Aggregates the striped per-process slabs. Exact whenever the processes
-  // are quiescent (the only time the tests compare totals); otherwise a
-  // racy-but-monotone snapshot.
-  LockStats stats() const {
-    LockStats s;
-    const int n = registered_.load(std::memory_order_acquire);
-    for (int i = 0; i < n; ++i) {
-      const auto& h = handles_[static_cast<std::size_t>(i)];
-      if (h != nullptr) h->stats().accumulate_into(s);
-    }
-    return s;
-  }
-
-  // Test/diagnostic visibility into per-shard pool occupancy: a shard no
-  // attempt touched has every slot free, which is how test_lock_table
-  // checks that single-lock attempts stay shard-local.
-  std::uint32_t shard_desc_capacity(std::uint32_t s) const {
-    return mem_[s]->desc_pool.capacity();
-  }
-  std::uint32_t shard_desc_free(std::uint32_t s) const {
-    return mem_[s]->desc_pool.free_count();
-  }
-  std::uint32_t shard_snap_capacity(std::uint32_t s) const {
-    return mem_[s]->snap_pool.capacity();
-  }
-  std::uint32_t shard_snap_free(std::uint32_t s) const {
-    return mem_[s]->snap_pool.free_count();
-  }
-
-  // Shared-freelist transactions (pops/pushes, single or batched) against
-  // one shard's pools. The allocation-locality tests assert this stays
-  // flat across a steady-state uncontended window; bench_hotpath reports
-  // it per attempt.
-  std::uint64_t shard_freelist_ops(std::uint32_t s) const {
-    return mem_[s]->desc_pool.freelist_ops() + mem_[s]->snap_pool.freelist_ops();
-  }
-  std::uint64_t freelist_ops() const {
-    std::uint64_t total = 0;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      total += shard_freelist_ops(s);
-    }
-    return total;
-  }
-
-  // Slots currently parked in `p`'s per-shard caches (descriptors +
-  // snapshots). Quiescent-only diagnostic: the caches are owner-private.
-  std::uint32_t cached_slots(Process p) const {
-    const auto pidx = static_cast<std::size_t>(p.ebr_pid);
-    std::uint32_t total = 0;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      total += caches_[s]->desc[pidx]->size();
-      total += caches_[s]->snap[pidx]->size();
-    }
-    return total;
-  }
-
-  // Test/diagnostic access to a lock's active set. An inspector must hold
-  // an EBR guard (ebr_enter/ebr_exit) across get_set() and any use of the
-  // returned snapshot. The adversary harness in exp_ablation uses this to
-  // play the model's adaptive player, which may see all of history.
-  Set& lock_set(std::uint32_t id) { return *locks_[id]; }
-
-  // Batch support (executor::submit_batch): pre-enter/exit ONE shard's
-  // guard through the handle's re-entrant depth counters, so a batch can
-  // cover exactly its lock sets' shard footprint instead of the whole
-  // table.
-  void guard_shard_enter(Process p, std::uint32_t shard) {
-    WFL_DASSERT(shard < num_shards_);
-    shard_guard_enter(handle(p), shard);
-  }
-  void guard_shard_exit(Process p, std::uint32_t shard) {
-    WFL_DASSERT(shard < num_shards_);
-    shard_guard_exit(handle(p), shard);
-  }
-
-  // Inspector guard over the whole table (all shards): the player adversary
-  // may look at any lock, so it gets reclamation protection everywhere.
-  void ebr_enter(Process p) {
-    Handle& h = handle(p);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) shard_guard_enter(h, s);
-  }
-  void ebr_exit(Process p) {
-    Handle& h = handle(p);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) shard_guard_exit(h, s);
-  }
-
-  // Crash-harness support: release `p`'s EBR guards on its behalf. Legal
-  // ONLY when the process provably takes no further steps (a fiber parked
-  // forever by a CrashSchedule). See EbrDomain::abandon. The pid stays
-  // retired — a crashed process's slot is never handed to a new session.
-  void abandon_process(Process p) {
-    WFL_CHECK(p.ebr_pid >= 0);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      ebr_[s]->abandon(p.ebr_pid);
-    }
-  }
-
-  // End-of-session (Session's destructor): drops any EBR guards on the
-  // process's behalf. Legal for the same reason abandon_process is: the
-  // caller guarantees the process takes no further steps under this
-  // registration. Two cases:
-  //
-  //   * orderly end (no guard held — the process finished outside any
-  //     attempt): the pid joins the registration free list and the slot —
-  //     participant id, handle, striped stats — is reused by the next
-  //     register_process();
-  //   * crash-parked mid-attempt (a CrashSchedule stopped the fiber inside
-  //     one of the attempt's guarded work segments, so its re-entrancy
-  //     depths are still nonzero): the guards are force-dropped exactly
-  //     like abandon_process, and the slot is retired forever — the stale
-  //     depth counters mean the handle can never re-enter a guard
-  //     correctly, so it must not be handed to a new session.
-  void release_process(Process p) {
-    WFL_CHECK(p.ebr_pid >= 0);
-    Handle& h = handle(p);
-    bool parked_in_guard = false;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      parked_in_guard = parked_in_guard || h.guard_depth(s) != 0;
-      ebr_[s]->abandon(p.ebr_pid);
-    }
-    // Spill the process's slot caches back to the shared pools in both
-    // cases — in particular a crash-parked process must not leak its
-    // cached slots (its pid is retired forever, so nothing would ever
-    // reuse them). Safe to do from the releasing thread: the caller
-    // guarantees the process takes no further steps.
-    const auto pidx = static_cast<std::size_t>(p.ebr_pid);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      caches_[s]->desc[pidx]->drain();
-      caches_[s]->snap[pidx]->drain();
-    }
-    if (parked_in_guard) return;
-    std::lock_guard<std::mutex> lk(reg_mutex_);
-    free_pids_.push_back(p.ebr_pid);
   }
 
  public:
@@ -723,26 +453,6 @@ class LockTable {
   struct AttemptCtx;
   using Engine = AttemptEngine<Plat, AttemptCtx>;
   using ThinWord = typename Plat::template Atomic<std::uint64_t>;
-
-  struct ShardMem {
-    IndexPool<SetSnap<Desc*>> snap_pool;
-    IndexPool<Desc> desc_pool;
-    ShardMem(std::uint32_t snap_cap, std::uint32_t desc_cap)
-        : snap_pool(snap_cap), desc_pool(desc_cap) {}
-  };
-
-  // Per-process slot caches fronting one shard's pools (indexed by EBR
-  // pid). Declared before ebr_ so EBR teardown can still push retired
-  // slots into them; line-padded so neighbouring processes' caches never
-  // share a line.
-  struct ShardCaches {
-    std::vector<CachePadded<SlotCache<Desc>>> desc;
-    std::vector<CachePadded<SlotCache<SetSnap<Desc*>>>> snap;
-    ShardCaches(std::size_t procs, ShardMem& mem) : desc(procs), snap(procs) {
-      for (auto& c : desc) c->bind(&mem.desc_pool);
-      for (auto& c : snap) c->bind(&mem.snap_pool);
-    }
-  };
 
   // RAII guard coverage for one descriptor's shard footprint, on top of the
   // handle's re-entrant depth counters. Returned by value from
@@ -771,7 +481,7 @@ class LockTable {
     Handle& h;
     using Desc = LockTable::Desc;
 
-    Set& set(std::uint32_t lock_id) { return *t.locks_[lock_id]; }
+    Set& set(std::uint32_t lock_id) { return t.lock_set(lock_id); }
     StatsSlab& stats() { return h.stats(); }
     MemberList<Desc*>& run_scratch() { return h.run_scratch(); }
     GuardScope lock_guards(Desc& p) { return GuardScope(t, h, p); }
@@ -784,19 +494,34 @@ class LockTable {
   };
   friend struct AttemptCtx;
 
-  // Initial sizes only: the pools grow on demand (reclamation can stall for
+  // Validates the configuration, then sizes the core. Pool capacities are
+  // initial sizes only: the pools grow on demand (reclamation can stall for
   // as long as any process is preempted inside an EBR guard, so no static
   // bound is safe — see arena.hpp).
-  static std::uint32_t auto_snap_capacity(int procs) {
-    return std::max<std::uint32_t>(4096,
-                                   static_cast<std::uint32_t>(procs) * 256);
-  }
-  static std::uint32_t auto_desc_capacity(int procs) {
-    return std::max<std::uint32_t>(512,
-                                   static_cast<std::uint32_t>(procs) * 32);
-  }
-  std::uint32_t per_shard(std::uint32_t total, std::uint32_t floor) const {
-    return std::max(floor, total / num_shards_);
+  static typename Core::Layout layout(const LockConfig& cfg, int max_procs,
+                                      int num_locks, SpaceSizing sizing) {
+    cfg.validate();
+    WFL_CHECK(max_procs > 0 && num_locks > 0);
+    WFL_CHECK_MSG(max_procs < (1 << 15),
+                  "thin-word owner encoding caps max_procs at 2^15 - 1");
+    WFL_CHECK(cfg.max_locks <= kMaxLocksPerAttempt);
+    WFL_CHECK(cfg.max_thunk_steps <= kMaxThunkOps);
+    WFL_CHECK(cfg.kappa <= kMaxSetCap);
+    const std::uint32_t shards = sizing.shards != 0
+                                     ? sizing.shards
+                                     : auto_shards(max_procs, num_locks);
+    const auto procs = static_cast<std::uint32_t>(max_procs);
+    const auto per_shard = [shards](std::uint32_t total, std::uint32_t floor) {
+      return std::max(floor, total / shards);
+    };
+    return {shards,
+            sizing.snap_pool_capacity != 0
+                ? sizing.snap_pool_capacity
+                : per_shard(std::max<std::uint32_t>(4096, procs * 256), 512),
+            sizing.desc_pool_capacity != 0
+                ? sizing.desc_pool_capacity
+                : per_shard(std::max<std::uint32_t>(512, procs * 32), 128),
+            cfg.kappa, /*fast_desc=*/true};
   }
 
   // Largest power of two <= min(max_procs, num_locks, kMaxShards): enough
@@ -812,20 +537,6 @@ class LockTable {
     return s;
   }
 
-  // Distinct shards of an attempt's lock set, home shard first. At most
-  // L <= kMaxLocksPerAttempt entries.
-  std::uint32_t shard_footprint(std::span<const std::uint32_t> lock_ids,
-                                std::uint32_t* out) const {
-    std::uint32_t n = 0;
-    for (std::size_t i = 0; i < lock_ids.size(); ++i) {
-      const std::uint32_t s = shard_of(lock_ids[i]);
-      bool seen = false;
-      for (std::uint32_t j = 0; j < n; ++j) seen = seen || out[j] == s;
-      if (!seen) out[n++] = s;
-    }
-    return n;
-  }
-
   // Posts release events to the installed sink, if any. One relaxed load
   // on the hot path when no sink is installed; the sink's own ordering
   // obligations are the executor's (its park protocol re-validates under
@@ -837,20 +548,6 @@ class LockTable {
                    reinterpret_cast<std::uintptr_t>(sink));
     if (sink == nullptr) return;
     for (const std::uint32_t id : lock_ids) sink->on_release(id, origin_pid);
-  }
-
-  void shard_guard_enter(Handle& h, std::uint32_t s) {
-    if (h.guard_depth(s)++ == 0) ebr_[s]->enter(h.pid());
-  }
-  void shard_guard_exit(Handle& h, std::uint32_t s) {
-    WFL_DASSERT(h.guard_depth(s) > 0);
-    if (--h.guard_depth(s) == 0) ebr_[s]->exit(h.pid());
-  }
-  void enter_shards(Handle& h, const std::uint32_t* shards, std::uint32_t n) {
-    for (std::uint32_t j = 0; j < n; ++j) shard_guard_enter(h, shards[j]);
-  }
-  void exit_shards(Handle& h, const std::uint32_t* shards, std::uint32_t n) {
-    for (std::uint32_t j = 0; j < n; ++j) shard_guard_exit(h, shards[j]);
   }
 
   // EBR deleter for descriptors: drop one shard's reference; the last one
@@ -874,36 +571,16 @@ class LockTable {
   }
 
   LockConfig cfg_;
-  int max_procs_;
-  std::uint32_t num_shards_;
   bool fast_enabled_ = false;
   bool cooperative_ = false;
   // One thin word per lock, line-padded: under contention rivals hammer a
   // lock's word with observe CASes and the owner with publish/release
   // CASes — neighbouring locks must not share that line.
   std::vector<CachePadded<ThinWord>> thin_;
-  // Order matters: each EbrDomain's destructor drains retired objects back
-  // into the per-process caches and pools — possibly of *other* shards
-  // (cross-shard descriptors) — and runs any pending fast-path cooldown
-  // deleters against their handles, so every pool, cache AND handle must
-  // outlive every domain: mem_, caches_ and handles_ are declared before
-  // ebr_ (members are destroyed in reverse order), and locks_/set_mem_
-  // (which reference both) come after.
-  std::vector<std::unique_ptr<ShardMem>> mem_;
-  std::vector<std::unique_ptr<ShardCaches>> caches_;
-  std::vector<std::unique_ptr<Handle>> handles_;  // indexed by pid; fixed size
-  std::vector<std::unique_ptr<EbrDomain>> ebr_;
-  std::vector<SetMem<Desc*>> set_mem_;
-  std::vector<std::unique_ptr<Set>> locks_;
-
-  std::atomic<std::uint64_t> serial_hwm_{1};
   // Raw atomic (not Plat::Atomic): loads of the sink are runtime plumbing,
   // not steps of the paper's model — installing one must not perturb step
   // accounting. Null whenever no async executor is attached.
   std::atomic<WakeSink*> wake_sink_{nullptr};
-  std::mutex reg_mutex_;
-  std::vector<int> free_pids_;  // released slots awaiting reuse (reg_mutex_)
-  std::atomic<int> registered_{0};
 };
 
 }  // namespace wfl

@@ -7,7 +7,7 @@
 //     kept seven process-shared std::atomic counters that every attempt
 //     fetch_add-ed; under contention those seven words were the hottest
 //     cachelines in the system and had nothing to do with the algorithm.
-//     Each process now bumps its own padded slab and LockTable::stats()
+//     Each process now bumps its own padded slab and TableCore::stats()
 //     aggregates on demand (reads are racy-by-design snapshots, exact once
 //     the workload quiesces — which is when the tests read them).
 //   * serial block allocator — descriptor serials (which feed the
@@ -21,10 +21,10 @@
 //     re-entrant so a helper can pick up whatever extra shards a helped
 //     descriptor's lock set needs without tracking what it already holds.
 //
-// Handles are created by LockTable::register_process and owned by the
-// table; the cheap `Process` value (an index) is what travels through
-// application code, exactly as before the decomposition. The cross-process
-// table's sessions (core/shm_table.hpp) each hold one handle too.
+// Handles are created by TableCore::register_process (core/table_core.hpp)
+// and owned by the table; the cheap `Process` value (an index) is what
+// travels through application code. The cross-process table's sessions
+// (core/shm_table.hpp) each hold one handle too.
 #pragma once
 
 #include <array>
@@ -38,6 +38,7 @@
 #include "wfl/core/config.hpp"
 #include "wfl/fuzz/sites.hpp"
 #include "wfl/idem/idem.hpp"
+#include "wfl/mem/ebr.hpp"
 #include "wfl/util/align.hpp"
 #include "wfl/util/assert.hpp"
 
@@ -111,6 +112,7 @@ struct StatsSlab {
     s.thunk_runs += thunk_runs.load(std::memory_order_relaxed);
     s.t0_overruns += t0_overruns.load(std::memory_order_relaxed);
     s.t1_overruns += t1_overruns.load(std::memory_order_relaxed);
+    s.tbd_eliminations += tbd_eliminations.load(std::memory_order_relaxed);
     s.log_slot_resets += log_slot_resets.load(std::memory_order_relaxed);
     s.fastpath_hits += fastpath_hits.load(std::memory_order_relaxed);
     s.fastpath_revocations +=
@@ -215,9 +217,21 @@ class ProcessHandle {
     static_cast<ProcessHandle*>(ctx)->end_fast_cooldown();
   }
 
-  // Re-entrancy depth of this process's EBR guard on `shard`. The table
-  // enters the shard's domain when the depth rises from 0 and exits when it
-  // returns to 0; everything in between is a plain private increment.
+  // Re-entrant guard on `shard`, whose domain is `ebr`: the domain is
+  // entered when this process's depth there rises from 0 and exited when
+  // it returns to 0; everything in between is a plain private increment.
+  // This is what lets a helper pick up a helped descriptor's shards, and an
+  // inspector's guard wrap a whole attempt, without tracking what it holds.
+  void guard_enter(EbrDomain& ebr, std::uint32_t shard) {
+    if (guard_depth(shard)++ == 0) ebr.enter(pid_);
+  }
+  void guard_exit(EbrDomain& ebr, std::uint32_t shard) {
+    WFL_DASSERT(guard_depth(shard) > 0);
+    if (--guard_depth(shard) == 0) ebr.exit(pid_);
+  }
+
+  // Re-entrancy depth on `shard` (saved and restored around an allocation
+  // stall that must drop the guard entirely; core/shm_table.hpp).
   std::uint32_t& guard_depth(std::uint32_t shard) {
     WFL_DASSERT(shard < guard_depth_.size());
     return guard_depth_[shard];

@@ -13,7 +13,7 @@
 //     behalf and, if the process ended in an orderly way, the pid becomes
 //     available to the next session (a process crash-parked inside a
 //     guarded attempt segment is abandoned instead and its slot retired —
-//     see LockTable::release_process). This is safe for the same reason
+//     see TableCore::release_process). This is safe for the same reason
 //     EbrDomain::abandon is: a destroyed session can, by construction,
 //     take no further steps with that process;
 //   * moveable-not-copyable, so ownership of the registration is unique

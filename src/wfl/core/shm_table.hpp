@@ -48,6 +48,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -60,7 +61,6 @@
 #include "wfl/core/attempt.hpp"
 #include "wfl/core/config.hpp"
 #include "wfl/core/descriptor.hpp"
-#include "wfl/core/lock_table.hpp"
 #include "wfl/core/process.hpp"
 #include "wfl/idem/cell.hpp"
 #include "wfl/idem/idem.hpp"
@@ -233,8 +233,6 @@ class ShmLockTable {
     friend class ShmLockTable;
     Session(int pid, std::atomic<std::uint64_t>& serial_hwm)
         : h_(pid, /*num_shards=*/1, serial_hwm) {}
-
-    std::uint32_t& guard_depth() { return h_.guard_depth(0); }
 
     ProcessHandle<RealPlat, Desc> h_;
     LocalSnap snap_buf_;
@@ -552,15 +550,10 @@ class ShmLockTable {
   ShmSessionRec& rec(int pid) const { return sessions_[pid]; }
 
   // Re-entrant single-domain guard (the engine's lock_guards nests inside
-  // the attempt's work-segment guard, exactly like the sharded table's
-  // depth counters).
-  void guard_enter(Session& s) {
-    if (s.guard_depth()++ == 0) ebr_.enter(s.pid());
-  }
-  void guard_exit(Session& s) {
-    WFL_DASSERT(s.guard_depth() > 0);
-    if (--s.guard_depth() == 0) ebr_.exit(s.pid());
-  }
+  // the attempt's work-segment guard), through the handle's depth counter
+  // exactly like the in-process tables.
+  void guard_enter(Session& s) { s.h_.guard_enter(ebr_, 0); }
+  void guard_exit(Session& s) { s.h_.guard_exit(ebr_, 0); }
 
   class GuardScope {
    public:
@@ -635,9 +628,10 @@ class ShmLockTable {
 
   template <typename TryAlloc>
   std::uint32_t alloc_backpressure(Session& s, TryAlloc&& try_alloc) {
-    const std::uint32_t depth = s.guard_depth();
+    std::uint32_t& guard_depth = s.h_.guard_depth(0);
+    const std::uint32_t depth = guard_depth;
     if (depth > 0) {
-      s.guard_depth() = 0;
+      guard_depth = 0;
       ebr_.exit(s.pid());
     }
     std::uint32_t idx = kNullIndex;
@@ -653,7 +647,7 @@ class ShmLockTable {
     }
     if (depth > 0) {
       ebr_.enter(s.pid());
-      s.guard_depth() = depth;
+      guard_depth = depth;
     }
     return idx;
   }
@@ -696,23 +690,5 @@ class ShmLockTable {
   // is handed only a pid and needs the climbing session.
   std::vector<Session*> open_;
 };
-
-// The placement factories declared on LockTable (the API callers reach
-// first). Only the real platform can cross address spaces; simulated plats
-// have no second process to attach from.
-template <typename Plat>
-std::unique_ptr<ShmLockTable> LockTable<Plat>::create_in(
-    ShmArena& shm, const LockConfig& cfg, int max_procs, int num_locks) {
-  static_assert(!Plat::kSimulated,
-                "shared-memory placement requires RealPlat");
-  return ShmLockTable::create_in(shm, cfg, max_procs, num_locks);
-}
-
-template <typename Plat>
-std::unique_ptr<ShmLockTable> LockTable<Plat>::attach(ShmArena& shm) {
-  static_assert(!Plat::kSimulated,
-                "shared-memory placement requires RealPlat");
-  return ShmLockTable::attach(shm);
-}
 
 }  // namespace wfl

@@ -45,6 +45,7 @@
 #include "wfl/core/process.hpp"
 #include "wfl/core/session.hpp"
 #include "wfl/core/shm_table.hpp"
+#include "wfl/core/table_core.hpp"
 #include "wfl/core/txn.hpp"
 #include "wfl/idem/cell.hpp"
 #include "wfl/idem/idem.hpp"

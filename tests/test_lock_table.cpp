@@ -241,49 +241,6 @@ TEST(LockTable, SteadyStateUncontendedTouchesNoSharedFreelist) {
       << "lazy reset regressed towards O(kThunkLogCap)";
 }
 
-// Cached slots must never leak: an orderly session release AND a
-// crash-abandoned process (released while parked inside a guard) both
-// spill their caches back to the shared pools.
-TEST(LockTable, CachedSlotsSpillOnRelease) {
-  // Descriptor-path machinery under test: disable the fast path so
-  // single-lock attempts actually populate the slot caches.
-  LockConfig cfg = cfg_for(2, 1);
-  cfg.fast_path = false;
-  Table t(cfg, 2, 16, SpaceSizing{.shards = 4});
-  Cell<RealPlat> c{0};
-
-  // Orderly: run enough attempts to populate the caches, then release.
-  auto p0 = t.register_process();
-  for (int a = 0; a < 300; ++a) {
-    const std::uint32_t ids[] = {0};
-    t.try_locks(p0, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    });
-  }
-  EXPECT_GT(t.cached_slots(p0), 0u) << "caches never engaged";
-  t.release_process(p0);
-  EXPECT_EQ(t.cached_slots(p0), 0u) << "orderly release leaked cached slots";
-
-  // Crash-abandoned: reuse the freed slot, warm it up again, then release
-  // while an inspector guard is held — the parked path must spill too,
-  // because the pid is retired forever and nothing could ever reuse the
-  // cache. (A parked pid is not recycled: the next registration under a
-  // 2-process table must fail-loudly only on the THIRD slot, so we just
-  // check the spill here.)
-  auto p1 = t.register_process();
-  for (int a = 0; a < 300; ++a) {
-    const std::uint32_t ids[] = {4};
-    t.try_locks(p1, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    });
-  }
-  EXPECT_GT(t.cached_slots(p1), 0u);
-  t.ebr_enter(p1);  // leaves guard depth nonzero: the crash-parked shape
-  t.release_process(p1);
-  EXPECT_EQ(t.cached_slots(p1), 0u)
-      << "crash-abandoned release leaked cached slots";
-}
-
 // Sharding must not perturb the simulator's determinism: identical seeds
 // give identical outcomes with a multi-shard table.
 TEST(LockTable, DeterministicUnderSimWithShards) {

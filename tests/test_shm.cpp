@@ -77,7 +77,7 @@ TEST(ShmArenaTest, PidProbe) {
 // exactly once (both cells move together), losses apply nothing.
 TEST(ShmTableTest, AttemptsApplyThunksExactlyOnce) {
   ShmArena a = ShmArena::create_anon(8u << 20);
-  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(2), 2, 4);
+  auto t = ShmLockTable::create_in(a, shm_cfg(2), 2, 4);
   auto s = t->open_session();
 
   const std::uint64_t c0 = a.create<Cell<RealPlat>>(0u);
@@ -109,7 +109,7 @@ TEST(ShmTableTest, AttemptsApplyThunksExactlyOnce) {
 // a process released while parked in a guard.
 TEST(ShmTableTest, RetiredPidNeverRecycledShm) {
   ShmArena a = ShmArena::create_anon(8u << 20);
-  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(4), 4, 2);
+  auto t = ShmLockTable::create_in(a, shm_cfg(4), 4, 2);
 
   auto s0 = t->open_session();
   const int pid0 = s0->pid();
