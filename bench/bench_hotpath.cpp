@@ -4,11 +4,14 @@
 //
 //   Hotpath_SingleLock_Uncontended   the steady-state cost of one
 //                                    uncontended single-lock attempt
-//                                    (alloc + insert + compete + remove +
-//                                    retire, all shard-local)
-//   Hotpath_MultiShard_Uncontended   the same attempt straddling two
-//                                    shards (two EBR domains per segment,
-//                                    refcounted retire)
+//                                    (thin-word fast path)
+//   Hotpath_MultiLock_Uncontended    an uncontended two-lock attempt
+//                                    straddling two shards, on the fast
+//                                    path (publish both words, reveal)
+//   Hotpath_MultiShard_Uncontended   the same attempt with the fast path
+//                                    off: descriptor alloc + insert +
+//                                    compete + remove, two EBR domains per
+//                                    segment, refcounted retire
 //   Hotpath_SingleLock_Contended     κ processes hammering one lock
 //   Hotpath_IdemReplay/N             descriptor reinit + owner run +
 //                                    helper replay of an N-op thunk — the
@@ -201,25 +204,38 @@ void Hotpath_SingleLock_Uncontended(benchmark::State& state) {
 }
 BENCHMARK(Hotpath_SingleLock_Uncontended);
 
-void Hotpath_MultiShard_Uncontended(benchmark::State& state) {
-  Table table(hot_cfg(2, 2), 2, 16, SpaceSizing{.shards = 4});
+// One process, locks {1, 2} (shards 1 and 2 under mask routing), warmed.
+void run_pair_uncontended(benchmark::State& state, const LockConfig& cfg) {
+  Table table(cfg, 2, 16, SpaceSizing{.shards = 4});
   auto proc = table.register_process();
   RealPlat::seed_rng(0xB0A710ADULL);
   Cell<RealPlat> cell{0};
+  const std::uint32_t ids[] = {1, 2};
   for (int i = 0; i < 512; ++i) {
-    const std::uint32_t warm[] = {1, 2};
-    table.try_locks(proc, warm, [&cell](IdemCtx<RealPlat>& m) {
+    table.try_locks(proc, ids, [&cell](IdemCtx<RealPlat>& m) {
       m.store(cell, m.load(cell) + 1);
     });
   }
   const std::uint64_t fl0 = table_freelist_ops(table);
   const std::uint64_t lr0 = stats_log_resets(table.stats());
-  const std::uint32_t ids[] = {1, 2};  // shards 1 and 2 under mask routing
   const PhaseSums sums = run_attempts(state, table, proc, ids, cell);
   report(state, sums,
          static_cast<double>(table_freelist_ops(table) - fl0),
          static_cast<double>(stats_log_resets(table.stats()) - lr0),
          kHasFreelistCounter<Table>, kHasLogResetCounter);
+}
+
+void Hotpath_MultiLock_Uncontended(benchmark::State& state) {
+  run_pair_uncontended(state, hot_cfg(2, 2));
+}
+BENCHMARK(Hotpath_MultiLock_Uncontended);
+
+// The descriptor path the fast path bypasses, kept measured: the
+// refcounted cross-shard retire only runs with the fast path off.
+void Hotpath_MultiShard_Uncontended(benchmark::State& state) {
+  LockConfig cfg = hot_cfg(2, 2);
+  cfg.fast_path = false;
+  run_pair_uncontended(state, cfg);
 }
 BENCHMARK(Hotpath_MultiShard_Uncontended);
 

@@ -73,8 +73,8 @@ enum class Site : std::uint8_t {
   // --- Per-process hot state (core/process.hpp) ---
   kStatsBump,           // StatsSlab relaxed load-then-store (single writer)
   kSerialRefill,        // serial high-water relaxed fetch_add
-  kFastReadyLoad,       // fast_ready relaxed load (cooldown flag)
-  kFastReadyStore,      // fast_ready relaxed store
+  kFastReadyLoad,       // cooldown-token count relaxed load (fast_ready)
+  kFastReadyStore,      // cooldown-token count relaxed store
 
   // --- Thunk log bookkeeping (idem/idem.hpp) ---
   kLogNoteUsed,         // used_ops_ relaxed store/load (equal-value racers)
@@ -216,7 +216,8 @@ inline constexpr SiteInfo kSiteTable[] = {
     {Site::kFastReadyLoad, "proc.fast_ready_load", Contract::kAdvisory,
      "cooldown gate; a stale read only routes to the slower path"},
     {Site::kFastReadyStore, "proc.fast_ready_store", Contract::kAdvisory,
-     "flipped by the owner or its own EBR deleter; monotone per cycle"},
+     "set by the owner, counted down by its own EBR deleters; monotone "
+     "per cycle"},
 
     {Site::kLogNoteUsed, "idem.log_note_used", Contract::kAdvisory,
      "racing writers store identical values (deterministic replay)"},

@@ -44,10 +44,11 @@ struct LockConfig {
   // everyone-drives, so the reveal-timing argument (Observation 6.7) and
   // the helping discipline (Lemma 6.4) stay exactly the paper's.
   //
-  //   * fast_path — uncontended single-lock attempts publish through a
-  //     per-lock thin word instead of allocating a descriptor and climbing
-  //     the active set; contenders revoke the word and compete against the
-  //     owner's embedded descriptor (safety argument in DESIGN.md §5.1).
+  //   * fast_path — uncontended attempts publish through their locks'
+  //     per-lock thin words instead of allocating a descriptor and
+  //     climbing the active sets; contenders revoke a word and compete
+  //     against the owner's embedded descriptor (safety argument in
+  //     DESIGN.md §5.1).
   //   * cooperative helping (always on in kOff) — the pre-insert help
   //     phase lets one helper at a time drive a stalled attempt through a
   //     revocable per-descriptor claim; the rest settle for celebrate-if-won

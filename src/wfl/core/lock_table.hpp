@@ -64,26 +64,33 @@
 //
 // --- Thin-word fast path (DelayMode::kOff only) ----------------------------
 //
-// Every lock carries a *thin word*. An uncontended single-lock attempt
-// CASes an encoding of (owner pid, attempt serial) into it, competes
-// through the handle's embedded descriptor — which the word logically
-// publishes, exactly as an active-set insert would — and CASes the word
-// back to free. The steady state is two thin-word CASes plus the
-// competition reads: zero descriptor-pool traffic, zero snapshot climbs,
-// zero EBR retires.
+// Every lock carries a *thin word*. An uncontended attempt on any lock set
+// CASes an encoding of (owner pid, attempt serial) into each of its locks'
+// words, in ascending lock-id order, competes through the handle's
+// embedded descriptor — which the words logically publish, exactly as
+// active-set inserts would — and CASes every word back to free. The steady
+// state is 2L thin-word CASes plus the competition reads: zero
+// descriptor-pool traffic, zero snapshot climbs, zero EBR retires.
+//
+// The words follow Algorithm 2's multiInsert: the descriptor is published
+// through every word while unflagged (priority pending), and the reveal —
+// the priority store — comes only after the last publish CAS. Rivals
+// ignore unflagged publications, as getSet ignores unflagged members. A
+// single-lock attempt publishes already revealed: its one CAS is also the
+// reveal. If any word is held, the words already taken are unwound and the
+// attempt falls through to the descriptor path with its thunk intact.
 //
 // On conflict a contender *revokes* the publication: it sets the word's
 // observed bit (announcing that it holds a reference to the embedded
 // descriptor) and then duels/helps that descriptor through the ordinary
 // Algorithm-3 machinery — eliminate, celebrate-if-won, thunk replay via
 // the idempotence log — so helping semantics and the step bound are
-// preserved verbatim. The owner, finding its release CAS failed, clears
-// the word and *cools down*: the embedded descriptor may not be reused
-// until a grace period of the publishing shard's EBR domain has passed
-// (a cooldown token retired into that domain flips the handle's
-// fast_ready flag back), because the observer may still be reading it.
-// Until then the process's single-lock attempts take the descriptor path.
-// Safety argument in DESIGN.md §5.1.
+// preserved verbatim. The owner, finding a release CAS failed, clears the
+// word and *cools down*: the embedded descriptor may not be reused until a
+// grace period has passed in every shard holding a revoked word (one
+// cooldown token per such shard; the last to expire re-arms the handle),
+// because the observer may still be reading it. Until then the process's
+// attempts take the descriptor path. Safety argument in DESIGN.md §5.1.
 #pragma once
 
 #include <algorithm>
@@ -224,16 +231,18 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
     h.stats().add_attempt();
     if (lock_ids.empty()) return Core::run_alone(h, thunk, info);
 
-    // Thin-word fast path: a single-lock attempt whose embedded descriptor
-    // is warm tries to decide through the lock's thin word. A contended or
+    // Counted from here so that a fast try that finds a word held — its
+    // publish CASes and their unwind — is part of this attempt's steps.
+    const std::uint64_t start_steps = Plat::steps();
+
+    // Thin-word fast path: an attempt whose embedded descriptor is warm
+    // tries to decide through its locks' thin words. A contended or
     // cooling-down attempt falls through to the descriptor path below with
     // the thunk intact.
-    if (fast_enabled_ && lock_ids.size() == 1 && h.fast_ready()) {
+    if (fast_enabled_ && h.fast_ready()) {
       bool won = false;
-      if (fast_attempt(h, lock_ids[0], thunk, info, won)) return won;
+      if (fast_attempt(h, lock_ids, thunk, start_steps, info, won)) return won;
     }
-
-    const std::uint64_t start_steps = Plat::steps();
 
     // The attempt's shard footprint. The home shard (the first lock's)
     // hosts the descriptor, drawn from this process's cache there; for a
@@ -342,60 +351,69 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
     return static_cast<int>((word >> 1) & 0x7FFF) - 1;
   }
 
-  // One fast-path attempt on `lock_id`. Returns true when the attempt was
-  // decided here (won_out holds the outcome); false when the thin word was
-  // already held — the thunk is moved back out and the caller proceeds on
-  // the descriptor path. The embedded descriptor is fully formed BEFORE
-  // the publish CAS, so a rival that observes the word immediately after
-  // reads a complete, revealed (priority > 0) Algorithm-3 descriptor.
-  bool fast_attempt(Handle& h, std::uint32_t lock_id, Thunk& thunk,
+  // One fast-path attempt on `lock_ids`. Returns true when the attempt was
+  // decided here (won_out holds the outcome); false when a thin word was
+  // already held — the words taken so far are unwound, the thunk is moved
+  // back out and the caller proceeds on the descriptor path. The embedded
+  // descriptor is fully formed BEFORE the first publish CAS, so a rival
+  // that observes a word reads a complete Algorithm-3 descriptor; it duels
+  // it only once the reveal has flagged it (thin_rival).
+  bool fast_attempt(Handle& h, std::span<const std::uint32_t> lock_ids,
+                    Thunk& thunk, std::uint64_t start_steps,
                     AttemptInfo* info, bool& won_out) {
     Desc& fd = h.fast_desc();
-    const std::uint64_t start_steps = Plat::steps();
     h.reinit(fd);
-    fd.lock_count = 1;
-    fd.lock_ids[0] = lock_id;
+    // Ascending lock-id order (raw spans may be unsorted): two fast
+    // attempts with overlapping lock sets then meet on their lowest shared
+    // lock, so one of them takes every word instead of each taking some.
+    const auto n = static_cast<std::uint32_t>(lock_ids.size());
+    fd.lock_count = n;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::uint32_t j = i;
+      for (; j > 0 && fd.lock_ids[j - 1] > lock_ids[i]; --j) {
+        fd.lock_ids[j] = fd.lock_ids[j - 1];
+      }
+      fd.lock_ids[j] = lock_ids[i];
+    }
     fd.thunk = std::move(thunk);
-    fd.priority.init(draw_priority<Plat>());  // revealed by the publish CAS
+    // One lock: the publish CAS is also the reveal. Several: publish
+    // unflagged, reveal after the last CAS (the seeded fault reveals
+    // first, which lets a rival drive a half-published attempt).
+    if (n == 1) {
+      fd.priority.init(draw_priority<Plat>());
+    } else if (fuzz::fault_on(fuzz::Fault::kThinEarlyReveal)) {
+      fd.priority.store(draw_priority<Plat>());
+    }
     WFL_PLAIN_WRITE(&fd, kDescPlain);  // complete before the publish CAS
     const std::uint64_t enc = thin_encode(h.pid(), fd.serial);
-    ThinWord& w = *thin_[lock_id];
-    WFL_CHK_TAG(kThinPublish);  // contract: the publish CAS must stay seq_cst
-    if (!w.cas(0, enc)) {
-      // Held by someone else: this attempt is contended, take the
-      // descriptor path (which duels/helps the holder via thin_rival).
-      thunk = std::move(fd.thunk);
-      return false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      WFL_CHK_TAG(kThinPublish);  // contract: the publish CAS must stay seq_cst
+      if (!thin_[fd.lock_ids[i]]->cas(0, enc)) {
+        // Held by someone else: this attempt is contended. Unwind, then
+        // take the descriptor path (which duels/helps the holder via
+        // thin_rival).
+        if (release_words(h, fd, i, enc)) {
+          WFL_FUZZ_SITE(kSiteThinUnwindRevoked);
+        }
+        thunk = std::move(fd.thunk);
+        return false;
+      }
+    }
+    if (n > 1 && !fuzz::fault_on(fuzz::Fault::kThinEarlyReveal)) {
+      fd.priority.store(draw_priority<Plat>());  // the reveal
     }
     const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
 
-    // Compete exactly as a slow-path attempt would: the engine reads the
-    // lock's set members AND the thin word (skipping our own publication)
-    // under the shard's guard, then decides and celebrates.
+    // Compete exactly as a slow-path attempt would: the engine reads each
+    // lock's set members AND thin word (skipping our own publication)
+    // under the shards' guards, then decides and celebrates.
     AttemptCtx cx{*this, h};
     const std::uint64_t reveal_steps = Plat::steps();
     Engine::run(cx, fd);
-
-    WFL_CHK_TAG(kThinRelease);
-    bool released = w.cas(enc, 0);
-    if (!released) {
-      // A rival set the observed bit (the only transition a non-owner
-      // makes) and may still be reading the embedded descriptor; clear the
-      // word, then cool the descriptor down through a grace period of this
-      // lock's shard before any reuse. Rivals that probe from here on see
-      // 0 — and any attempt that started after our publication already
-      // found us through the word or will see our effects as decided.
-      WFL_CHK_TAG(kThinRelease);
-      WFL_FUZZ_SITE(kSiteThinRevocation);
-      w.store(0);
-      h.begin_fast_cooldown();
-      this->ebr(shard_of(lock_id)).retire(h.pid(), &h, 0,
-                                          &Handle::fast_cooldown_expired);
-      h.stats().add_fastpath_revocation();
-    }
-    // Publication gone (released or revoked+cleared): post the release
-    // event for parked waiters either way.
-    notify_release({&lock_id, 1}, h.pid());
+    release_words(h, fd, n, enc);
+    // Publications gone (released or revoked+cleared): post the release
+    // events for parked waiters either way.
+    notify_release({fd.lock_ids, n}, h.pid());
     const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
 
     const bool won = fd.status.load() == kStatusWon;
@@ -411,10 +429,47 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
     return true;
   }
 
+  // Frees the first `n` of fd's thin words, each holding `enc`. A word
+  // whose CAS back to 0 fails carries a rival's observed bit (the only
+  // transition a non-owner makes), and that rival may still be reading the
+  // embedded descriptor: clear the word, then cool the descriptor down
+  // through a grace period of every shard such a word lives in before any
+  // reuse. Rivals that probe from here on see 0 — and any attempt that
+  // started after our publication already found us through the word or
+  // will see our effects as decided. Returns whether any word was revoked.
+  bool release_words(Handle& h, const Desc& fd, std::uint32_t n,
+                     std::uint64_t enc) {
+    std::uint32_t revoked[kMaxLocksPerAttempt];
+    std::uint32_t n_revoked = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ThinWord& w = *thin_[fd.lock_ids[i]];
+      WFL_CHK_TAG(kThinRelease);
+      if (w.cas(enc, 0)) continue;
+      WFL_CHK_TAG(kThinRelease);
+      WFL_FUZZ_SITE(kSiteThinRevocation);
+      w.store(0);
+      revoked[n_revoked++] = fd.lock_ids[i];
+    }
+    if (n_revoked == 0) return false;
+    std::uint32_t shards[kMaxLocksPerAttempt];
+    const std::uint32_t n_shards =
+        this->shard_footprint({revoked, n_revoked}, shards);
+    // Armed before the first token is retired, so no deleter can run
+    // against a stale count.
+    h.set_fast_cooldown(n_shards);
+    for (std::uint32_t s = 0; s < n_shards; ++s) {
+      this->ebr(shards[s]).retire(h.pid(), &h, 0,
+                                  &Handle::fast_cooldown_expired);
+    }
+    h.stats().add_fastpath_revocation();
+    return true;
+  }
+
   // The observe protocol, called by the engine (under the shard's guard —
   // every call site covers shard_of(lock_id)). Returns the lock's current
   // fast-path publication as a duel-able descriptor, or nullptr when the
-  // word is free, owned by the caller, or too unstable to pin.
+  // word is free, owned by the caller, not yet revealed, or too unstable
+  // to pin.
   //
   // Setting the observed bit BEFORE dereferencing is what makes the
   // returned pointer stable: once the bit is set the owner's release CAS
@@ -424,7 +479,10 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
   // safe: the word changing means the previous publication completed
   // (decided and released), and any NEWER publication's competition scan
   // happens after its publish CAS — which is after our own set insert —
-  // so the newer owner is guaranteed to see and duel us instead.
+  // so the newer owner is guaranteed to see and duel us instead. Skipping
+  // an unflagged publication is safe for the same reason: its owner
+  // reveals after this probe and scans after its reveal, so it finds
+  // whatever the caller is running (getSet's filter, Algorithm 2).
   Desc* thin_rival(Handle& h, std::uint32_t lock_id) {
     if (!fast_enabled_) return nullptr;
     ThinWord& w = *thin_[lock_id];
@@ -434,7 +492,8 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
       const int pid = thin_pid(v);
       if (pid == h.pid()) return nullptr;  // own publication
       if ((v & kThinObserved) != 0 || w.cas(v, v | kThinObserved)) {
-        return &handle(Process{pid}).fast_desc();
+        Desc& fd = handle(Process{pid}).fast_desc();
+        return fd.flag() ? &fd : nullptr;
       }
     }
     return nullptr;

@@ -149,13 +149,13 @@ class ProcessHandle {
         fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr),
         guard_depth_(num_shards, 0) {
     WFL_CHECK(pid >= 0 && num_shards > 0);
-    // fast_ready_ is a raw std::atomic with hooked accessors; seed its
+    // fast_cooldown_ is a raw std::atomic with hooked accessors; seed its
     // shadow and retire it in the dtor so heap reuse of the handle's
     // storage cannot alias stale tracked state from a prior object.
-    race::created(&fast_ready_, 1);
+    race::created(&fast_cooldown_, 0);
   }
 
-  ~ProcessHandle() { race::destroyed(&fast_ready_); }
+  ~ProcessHandle() { race::destroyed(&fast_cooldown_); }
 
   ProcessHandle(const ProcessHandle&) = delete;
   ProcessHandle& operator=(const ProcessHandle&) = delete;
@@ -184,37 +184,38 @@ class ProcessHandle {
   ThunkLog<Plat>& local_log() { return local_log_; }
 
   // The embedded fast-path descriptor (DESIGN.md §5.1): uncontended
-  // single-lock attempts publish it through the lock's thin word instead
-  // of drawing a pooled descriptor, so the steady state performs zero pool
+  // attempts publish it through their locks' thin words instead of
+  // drawing a pooled descriptor, so the steady state performs zero pool
   // and active-set traffic. It is pool-free and never EBR-retired; reuse
   // safety comes from the thin-word observation protocol: the descriptor
   // may be re-initialized only while fast_ready() is true — either no
-  // rival ever observed the previous publication (the release CAS
-  // succeeded untouched), or a full grace period of the publishing shard
-  // has passed since (the table retires a cooldown token whose deleter
-  // calls end_fast_cooldown()). Allocated only when the owning space
-  // requested it (with_fast_desc).
+  // rival ever observed the previous publication (every release CAS
+  // succeeded untouched), or a full grace period has passed since in every
+  // shard where a word was observed (the table retires one cooldown token
+  // into each such shard; fast_cooldown_expired counts them down).
+  // Allocated only when the owning space requested it (with_fast_desc).
   DescT& fast_desc() {
     WFL_DASSERT(fast_desc_ != nullptr);
     return *fast_desc_;
   }
   bool fast_ready() const {
-    const bool r = fast_ready_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&fast_ready_, kLoad, relaxed, kFastReadyLoad, r ? 1 : 0);
-    return r;
+    const std::uint32_t left = fast_cooldown_.load(std::memory_order_relaxed);
+    WFL_CHK_ATOMIC(&fast_cooldown_, kLoad, relaxed, kFastReadyLoad, left);
+    return left == 0;
   }
-  void begin_fast_cooldown() {
-    fast_ready_.store(false, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&fast_ready_, kStore, relaxed, kFastReadyStore, 0);
+  // Sets the number of outstanding cooldown tokens (grace periods).
+  void set_fast_cooldown(std::uint32_t tokens) {
+    fast_cooldown_.store(tokens, std::memory_order_relaxed);
+    WFL_CHK_ATOMIC(&fast_cooldown_, kStore, relaxed, kFastReadyStore, tokens);
   }
-  void end_fast_cooldown() {
-    fast_ready_.store(true, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&fast_ready_, kStore, relaxed, kFastReadyStore, 1);
-  }
-  // EbrDomain deleter shape for the cooldown token; ctx is the handle.
+  // EbrDomain deleter shape for one cooldown token; ctx is the handle. The
+  // last token to expire re-arms the embedded descriptor.
   static void fast_cooldown_expired(void* ctx, std::uint32_t) {
-    WFL_FUZZ_SITE(kSiteCooldownResume);
-    static_cast<ProcessHandle*>(ctx)->end_fast_cooldown();
+    auto* h = static_cast<ProcessHandle*>(ctx);
+    const std::uint32_t left =
+        h->fast_cooldown_.load(std::memory_order_relaxed) - 1;
+    h->set_fast_cooldown(left);
+    if (left == 0) WFL_FUZZ_SITE(kSiteCooldownResume);
   }
 
   // Re-entrant guard on `shard`, whose domain is `ebr`: the domain is
@@ -275,9 +276,11 @@ class ProcessHandle {
   MemberList<DescT*> run_scratch_;
   ThunkLog<Plat> local_log_;
   std::unique_ptr<DescT> fast_desc_;
-  // Raw atomic: flipped by the EBR cooldown deleter, which runs on the
-  // owning participant or under quiescent domain teardown (another thread).
-  std::atomic<bool> fast_ready_{true};
+  // Outstanding cooldown tokens; 0 = the embedded descriptor is reusable.
+  // Raw atomic: counted down by the EBR cooldown deleters, which run on the
+  // owning participant or under quiescent domain teardown (another
+  // thread), so the load-then-store has one writer at a time.
+  std::atomic<std::uint32_t> fast_cooldown_{0};
   std::vector<std::uint32_t> guard_depth_;
 };
 

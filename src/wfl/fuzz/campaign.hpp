@@ -119,9 +119,9 @@ inline std::vector<Trace> seed_traces(const std::string& fault) {
                                      WorkloadKind::kAsync,
                                      WorkloadKind::kEngineSharded};
   if (const std::optional<FaultSpec> f = parse_fault(fault); f.has_value()) {
-    if (f->hook != Fault::kNone) {
+    if (f->async_only()) {
       kinds = {WorkloadKind::kAsync};  // executor wake-path hooks
-    } else if (f->engine_mutation) {
+    } else if (f->hook != Fault::kNone || f->engine_mutation) {
       kinds = {WorkloadKind::kEngine, WorkloadKind::kEngineSharded};
     }
   }

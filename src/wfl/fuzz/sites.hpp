@@ -40,8 +40,8 @@ enum Site : int {
                             // observed bit (lock_table.hpp)
   kSiteClaimExpiry,         // a foreign help claim went stale and was
                             // revoked by an impatient helper (attempt.hpp)
-  kSiteCooldownResume,      // a fast-path cooldown token's grace period
-                            // expired and re-armed the embedded
+  kSiteCooldownResume,      // a fast-path cooldown's last token's grace
+                            // period expired and re-armed the embedded
                             // descriptor (process.hpp)
   kSiteDrainAllRival,       // drain_all() took a non-empty chain — the
                             // thief/shutdown rescue path of the MPSC
@@ -55,6 +55,9 @@ enum Site : int {
   kSiteMultiShardRetire,    // a multi-shard descriptor's retire dropped a
                             // non-final reference — another shard's grace
                             // period still pins it (lock_table.hpp)
+  kSiteThinUnwindRevoked,   // a multi-lock publish found a word held, and
+                            // a rival had observed a word it was unwinding
+                            // (lock_table.hpp)
   kSiteCount
 };
 
@@ -67,6 +70,7 @@ inline const char* site_name(int s) {
     case kSiteAsyncSignalOnDone: return "async_signal_on_done";
     case kSiteAsyncCancelSweep: return "async_cancel_sweep";
     case kSiteMultiShardRetire: return "multi_shard_retire";
+    case kSiteThinUnwindRevoked: return "thin_unwind_revoked";
     default: return "?";
   }
 }
@@ -120,6 +124,11 @@ enum class Fault : std::uint8_t {
   // forever. The armed fault diverts sweep-claimed ops to a limbo stack
   // that only drains once the fault is disarmed.
   kShutdownHang,
+  // Multi-lock thin-word publish revealed too early: the priority store
+  // moves before the publish CASes, so a rival can drive (and win) an
+  // attempt whose owner then finds a word held, unwinds, and runs the same
+  // thunk again on the descriptor path.
+  kThinEarlyReveal,
 };
 
 inline std::atomic<Fault> g_fault{Fault::kNone};

@@ -80,13 +80,20 @@
 
 namespace wfl::fuzz {
 
-// Seeded faults a trace may carry (the `fault` line). The two g_fault
-// hooks live in async_executor.hpp; the race_* entries arm PR 7-style
-// engine-model mutations during the CheckedPlat replay instead.
+// Seeded faults a trace may carry (the `fault` line). The lost_wake and
+// shutdown_hang g_fault hooks live in async_executor.hpp, thin_early_reveal
+// in lock_table.hpp; the race_* entries arm race-engine ordering
+// mutations during the CheckedPlat replay instead.
 struct FaultSpec {
   Fault hook = Fault::kNone;
   bool engine_mutation = false;
   race::RaceEngine::Mutation mutation{};
+
+  // Only the async workload can express the executor's wake-path hooks;
+  // every other fault lives in the engine.
+  bool async_only() const {
+    return hook == Fault::kLostWake || hook == Fault::kShutdownHang;
+  }
 };
 
 inline std::optional<FaultSpec> parse_fault(const std::string& name) {
@@ -98,6 +105,10 @@ inline std::optional<FaultSpec> parse_fault(const std::string& name) {
   }
   if (name == "shutdown_hang") {
     f.hook = Fault::kShutdownHang;
+    return f;
+  }
+  if (name == "thin_early_reveal") {
+    f.hook = Fault::kThinEarlyReveal;
     return f;
   }
   using Mutation = race::RaceEngine::Mutation;

@@ -14,6 +14,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -111,18 +114,134 @@ TEST(FastPath, DisabledByConfigKnob) {
       << "descriptor path not taken";
 }
 
-// Multi-lock attempts always take the descriptor path; the fast path is a
-// single-lock specialization.
-TEST(FastPath, MultiLockAttemptsTakeDescriptorPath) {
-  Table t(off_cfg(2, 2), 2, 8);
+// An uncontended multi-lock attempt decides through its locks' thin words
+// too: one fast-path hit, no descriptor or snapshot drawn in any shard, no
+// freelist transaction, every word free afterwards. The span is unsorted
+// and straddles two shards.
+TEST(FastPath, MultiLockUncontendedHitsAndZeroPoolTraffic) {
+  Table t(off_cfg(2, 2), 2, 16, SpaceSizing{.shards = 4});
   auto proc = t.register_process();
   Cell<RealPlat> c{0};
-  const std::uint32_t ids[] = {1, 2};
-  ASSERT_TRUE(t.try_locks(proc, ids, [&c](IdemCtx<RealPlat>& m) {
-    m.store(c, m.load(c) + 1);
+  std::vector<std::uint32_t> snap_free;
+  for (std::uint32_t sh = 0; sh < t.num_shards(); ++sh) {
+    snap_free.push_back(t.shard_snap_free(sh));
+  }
+  const std::uint64_t fl0 = t.freelist_ops();
+  const std::uint32_t ids[] = {6, 1};
+  AttemptInfo info;
+  ASSERT_TRUE(t.try_locks(
+      proc, ids, [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); },
+      &info));
+  const LockStats s = t.stats();
+  EXPECT_EQ(s.fastpath_hits, 1u);
+  EXPECT_EQ(s.fastpath_revocations, 0u);
+  EXPECT_EQ(s.wins, 1u);
+  EXPECT_EQ(c.peek(), 1u);
+  EXPECT_TRUE(info.won);
+  EXPECT_EQ(t.freelist_ops(), fl0) << "fast path touched a shared freelist";
+  for (std::uint32_t sh = 0; sh < t.num_shards(); ++sh) {
+    EXPECT_EQ(t.shard_desc_free(sh), t.shard_desc_capacity(sh))
+        << "fast path allocated a descriptor in shard " << sh;
+    EXPECT_EQ(t.shard_snap_free(sh), snap_free[sh])
+        << "fast path climbed an active set in shard " << sh;
+  }
+  for (std::uint32_t id = 0; id < 16; ++id) {
+    EXPECT_EQ(t.thin_word_peek(id), 0u) << "thin word leaked on lock " << id;
+  }
+}
+
+// Holds a fast publication on the `held` locks while `inner` runs: the
+// holder's thunk (run by its owner after the decide, with the thin words
+// still published) calls `inner` exactly once — the helper replays of that
+// thunk skip it.
+template <typename TableT, typename Plat, typename Inner>
+bool while_words_held(TableT& t, typename TableT::Process holder,
+                      std::span<const std::uint32_t> held,
+                      Cell<Plat>& holder_cell, Inner inner) {
+  bool entered = false;
+  return t.try_locks(holder, held, [&](IdemCtx<Plat>& m) {
+    if (!entered) {
+      entered = true;
+      inner();
+    }
+    m.store(holder_cell, m.load(holder_cell) + 1);
+  });
+}
+
+// A word held by another publication sends a multi-lock attempt down the
+// descriptor path: the word it had already taken is unwound, its thunk
+// runs exactly once there, and every word ends free.
+TEST(FastPath, MultiLockHeldWordFallsBack) {
+  Table t(off_cfg(2, 2), 2, 8);
+  auto holder = t.register_process();
+  auto proc = t.register_process();
+  Cell<RealPlat> hc{0};
+  Cell<RealPlat> c{0};
+  int thunk_entries = 0;
+  bool won = false;
+  const std::uint32_t held[] = {5};
+  ASSERT_TRUE(while_words_held(t, holder, held, hc, [&] {
+    EXPECT_NE(t.thin_word_peek(5), 0u);
+    const std::uint32_t ids[] = {5, 2};  // 2 is taken first, then unwound
+    won = t.try_locks(proc, ids, [&](IdemCtx<RealPlat>& m) {
+      ++thunk_entries;
+      m.store(c, m.load(c) + 1);
+    });
   }));
-  EXPECT_EQ(t.stats().fastpath_hits, 0u);
-  EXPECT_EQ(t.stats().wins, 1u);
+  EXPECT_TRUE(won);
+  EXPECT_EQ(thunk_entries, 1);
+  EXPECT_EQ(c.peek(), 1u);
+  EXPECT_EQ(hc.peek(), 1u);
+  const LockStats s = t.stats();
+  EXPECT_EQ(s.fastpath_hits, 1u) << "only the holder decided on the fast path";
+  EXPECT_EQ(s.wins, 2u);
+  std::uint32_t desc_drawn = 0;
+  for (std::uint32_t sh = 0; sh < t.num_shards(); ++sh) {
+    desc_drawn += t.shard_desc_capacity(sh) - t.shard_desc_free(sh);
+  }
+  EXPECT_GT(desc_drawn, 0u) << "descriptor path not taken";
+  for (std::uint32_t id = 0; id < 8; ++id) {
+    EXPECT_EQ(t.thin_word_peek(id), 0u) << "thin word leaked on lock " << id;
+  }
+}
+
+// A publication observed in two shards cools down through BOTH shards'
+// grace periods: reclamation traffic in one shard alone re-arms nothing;
+// the fast path resumes only once the second shard's token expires too.
+TEST(FastPath, CooldownWaitsForEveryRevokedShard) {
+  Table t(off_cfg(2, 2), 2, 16, SpaceSizing{.shards = 4});
+  auto owner = t.register_process();
+  auto rival = t.register_process();
+  Cell<RealPlat> c{0};
+  const auto bump = [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); };
+  // The owner publishes {1, 2} (shards 1 and 2); from inside its thunk the
+  // rival's attempt observes both words, so both release CASes fail.
+  const std::uint32_t pair[] = {1, 2};
+  ASSERT_TRUE(while_words_held(t, owner, pair, c, [&] {
+    EXPECT_TRUE(t.try_locks(rival, pair, bump));
+  }));
+  EXPECT_EQ(t.stats().fastpath_revocations, 1u);
+  EXPECT_FALSE(t.handle(owner).fast_ready());
+  EXPECT_EQ(t.thin_word_peek(1), 0u);
+  EXPECT_EQ(t.thin_word_peek(2), 0u);
+
+  // Descriptor-path attempts on lock 1 retire only into shard 1: its token
+  // expires, shard 2's does not.
+  const std::uint32_t one[] = {1};
+  for (int a = 0; a < 200; ++a) ASSERT_TRUE(t.try_locks(owner, one, bump));
+  EXPECT_FALSE(t.handle(owner).fast_ready())
+      << "re-armed before shard 2's grace period passed";
+  const std::uint64_t hits = t.stats().fastpath_hits;
+  EXPECT_EQ(hits, 1u) << "a cooling-down owner took the fast path";
+
+  const std::uint32_t two[] = {2};
+  for (int a = 0; a < 200 && !t.handle(owner).fast_ready(); ++a) {
+    ASSERT_TRUE(t.try_locks(owner, two, bump));
+  }
+  EXPECT_TRUE(t.handle(owner).fast_ready())
+      << "fast path never re-armed after both grace periods";
+  ASSERT_TRUE(t.try_locks(owner, pair, bump));
+  EXPECT_EQ(t.stats().fastpath_hits, hits + 1);
 }
 
 // --- revocation races under the simulator --------------------------------
@@ -136,18 +255,25 @@ struct SimRunResult {
   std::uint64_t fastpath_revocations = 0;
   std::uint64_t help_claim_skips = 0;
   bool survivors_finished = false;
+  // The crashed victim's leftover publication, if any: how many thin words
+  // it still holds, and whether its embedded descriptor was revealed.
+  int victim_words = 0;
+  bool victim_revealed = false;
 };
 
-// `procs` processes hammer ONE lock with single-lock kOff attempts (all of
-// them fast-path candidates: whoever publishes first forces the rest onto
-// the descriptor path, which must observe/revoke the thin word). When
-// crash_slot > 0, the last process is crashed there — including, across
-// the sweep, mid-thunk with the thin word held, the interleaving the
-// revocation protocol exists for.
+// `procs` processes hammer the same `locks_per` locks (1 or 2) with kOff
+// attempts (all of them fast-path candidates: whoever publishes first
+// forces the rest onto the descriptor path, which must observe/revoke the
+// thin words). Odd processes name the pair in descending order, so the
+// fast path's ascending publish order is exercised. When crash_slot > 0,
+// the last process is crashed there — including, across the sweep,
+// mid-thunk with the thin words held, the interleaving the revocation
+// protocol exists for, and (for pairs) mid-publish.
 SimRunResult run_contended_sim(int procs, int attempts,
-                               std::uint64_t crash_slot, std::uint64_t seed) {
+                               std::uint64_t crash_slot, std::uint64_t seed,
+                               std::uint32_t locks_per = 1) {
   auto space = std::make_unique<SimTable>(
-      off_cfg(static_cast<std::uint32_t>(procs), 1), procs, 4);
+      off_cfg(static_cast<std::uint32_t>(procs), locks_per), procs, 4);
   auto busy = std::make_unique<Cell<TestPlat>>(0u);
   auto cnt = std::make_unique<Cell<TestPlat>>(0u);
   std::vector<std::uint64_t> wins(static_cast<std::size_t>(procs), 0);
@@ -164,12 +290,16 @@ SimRunResult run_contended_sim(int procs, int attempts,
       // Retry until `attempts` wins so every process exercises both the
       // fast and the (contended) descriptor path many times.
       while (won_count < attempts) {
-        const std::uint32_t ids[] = {0};
+        const std::uint32_t ids[] = {
+            locks_per == 1 || p % 2 == 0 ? 0u : 1u, p % 2 == 0 ? 1u : 0u};
+        const std::span<const std::uint32_t> locks =
+            locks_per == 1 ? std::span<const std::uint32_t>(ids, 1)
+                           : std::span<const std::uint32_t>(ids, 2);
         Cell<TestPlat>* flag = busy.get();
         Cell<TestPlat>* counter = cnt.get();
         std::uint64_t* viol = &violations;
         const bool won = space->try_locks(
-            proc, ids, [flag, counter, viol](IdemCtx<TestPlat>& m) {
+            proc, locks, [flag, counter, viol](IdemCtx<TestPlat>& m) {
               if (m.load(*flag) != 0) ++*viol;
               m.store(*flag, 1);
               m.store(*counter, m.load(*counter) + 1);
@@ -197,6 +327,15 @@ SimRunResult run_contended_sim(int procs, int attempts,
         break;
       }
       if (!sim.run(sched, 400'000'000, sim.finished_count() + 1)) break;
+    }
+    if (victim_proc.ebr_pid >= 0) {
+      auto& vh = space->handle(victim_proc);
+      for (std::uint32_t l = 0; l < 4; ++l) {
+        const std::uint64_t w = space->thin_word_peek(l);
+        const int owner = static_cast<int>((w >> 1) & 0x7FFF) - 1;
+        if (w != 0 && owner == vh.pid()) ++res.victim_words;
+      }
+      res.victim_revealed = vh.fast_desc().priority.peek() > 0;
     }
     if (victim_proc.ebr_pid >= 0 && !sim.is_finished(victim)) {
       space->abandon_process(victim_proc);
@@ -283,6 +422,49 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// The two-lock crash sweep: each slot is chosen to land the victim's crash
+// inside a multi-lock fast publish — between its two publish CASes (one
+// word held, unrevealed) or between the last CAS and the reveal (both
+// words held, unrevealed) — and the test checks it did. The stranded
+// unflagged publication must be invisible to rivals (they never help or
+// duel it, so nothing of the victim's runs: cells == wins exactly) and
+// must not wedge anyone (fast attempts route around its held words).
+struct MidPublishCrash {
+  std::uint64_t slot;
+  std::uint64_t seed;
+  int words_held;  // 1: between the publish CASes; 2: before the reveal
+};
+
+void PrintTo(const MidPublishCrash& c, std::ostream* os) {
+  *os << "slot " << c.slot << " seed " << c.seed << " held " << c.words_held;
+}
+
+class FastPathCrashSweepL2 : public ::testing::TestWithParam<MidPublishCrash> {
+};
+
+TEST_P(FastPathCrashSweepL2, MidPublishCrashIsInvisible) {
+  const MidPublishCrash c = GetParam();
+  const SimRunResult r = run_contended_sim(3, 10, c.slot, c.seed, 2);
+  ASSERT_EQ(r.victim_words, c.words_held)
+      << "crash slot no longer lands in the intended publish window";
+  EXPECT_FALSE(r.victim_revealed);
+  EXPECT_TRUE(r.survivors_finished)
+      << "a half-published multi-lock attempt wedged the locks";
+  EXPECT_EQ(r.flag_violations, 0u) << "overlapping critical sections";
+  EXPECT_EQ(r.counted, r.wins_recorded) << "lost or duplicated update";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MidPublish, FastPathCrashSweepL2,
+    ::testing::Values(MidPublishCrash{431, 1, 1}, MidPublishCrash{440, 1, 2},
+                      MidPublishCrash{2237, 1, 1}, MidPublishCrash{2464, 1, 2},
+                      MidPublishCrash{423, 2, 1}, MidPublishCrash{424, 2, 2}),
+    [](const ::testing::TestParamInfo<MidPublishCrash>& info) {
+      return "slot" + std::to_string(info.param.slot) + "_seed" +
+             std::to_string(info.param.seed) + "_held" +
+             std::to_string(info.param.words_held);
+    });
+
 // After a revocation the embedded descriptor cools down through a grace
 // period — and once it expires, the fast path RESUMES (the cooldown is a
 // pause, not a permanent demotion).
@@ -326,6 +508,38 @@ TEST(FastPath, CooldownResumesAfterGrace) {
   ASSERT_TRUE(sim.run(sched, 400'000'000));
   EXPECT_GT(hits_after_contention, 0u)
       << "fast path never resumed after cooldown";
+}
+
+// AttemptInfo::total_steps covers the whole attempt, including a fast try
+// that found a word held: its publish CAS, its unwind and the descriptor
+// path together equal the caller's own step delta across try_locks.
+TEST(FastPath, TotalStepsCountsFailedFastPublish) {
+  auto space = std::make_unique<SimTable>(off_cfg(2, 2), 2, 8);
+  auto hc = std::make_unique<Cell<TestPlat>>(0u);
+  auto c = std::make_unique<Cell<TestPlat>>(0u);
+  std::uint64_t delta = 0;
+  AttemptInfo info;
+  bool won = false;
+  Simulator sim(5);
+  sim.add_process([&] {
+    auto holder = space->register_process();
+    auto proc = space->register_process();
+    const std::uint32_t held[] = {5};
+    while_words_held(*space, holder, held, *hc, [&] {
+      const std::uint32_t ids[] = {2, 5};
+      const std::uint64_t s0 = TestPlat::steps();
+      won = space->try_locks(
+          proc, ids,
+          [&c](IdemCtx<TestPlat>& m) { m.store(*c, m.load(*c) + 1); }, &info);
+      delta = TestPlat::steps() - s0;
+    });
+  });
+  RoundRobinSchedule sched(1);
+  ASSERT_TRUE(sim.run(sched, 10'000'000));
+  EXPECT_TRUE(won);
+  EXPECT_EQ(c->peek(), 1u);
+  EXPECT_EQ(space->stats().fastpath_hits, 1u) << "only the holder is fast";
+  EXPECT_EQ(info.total_steps, delta);
 }
 
 // --- cooperative helping --------------------------------------------------
