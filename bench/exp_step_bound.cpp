@@ -10,10 +10,17 @@
 //   * fitted log-log exponents of max work vs κ and vs L (paper: <= 2).
 // A second pass runs the default (theory) constants and asserts zero delay
 // overruns — the property Observation 6.7 needs.
+//
+// The table goes to stderr; stdout carries one wfl-bench-v1 document (one
+// entry per row, one per theory-mode run, one with the fitted exponents),
+// so `./exp_step_bound > EXP_step_bound.json` pins the run. The simulator
+// makes every number a pure function of the code and the seed.
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "exp_json.hpp"
 #include "wfl/util/cli.hpp"
 #include "wfl/util/table.hpp"
 #include "wfl/wfl.hpp"
@@ -96,14 +103,32 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.flag_int("seed", 42));
   cli.done();
 
-  std::printf("E1: step bound O(k^2 L^2 T) — work per attempt, sim, clique\n");
-  std::printf("    (delays off: measures the raw work the T0/T1 budgets "
-              "must dominate)\n\n");
+  std::fprintf(stderr,
+               "E1: step bound O(k^2 L^2 T) — work per attempt, sim, clique\n"
+               "    (delays off: measures the raw work the T0/T1 budgets "
+               "must dominate)\n\n");
 
   Table t({"kappa", "L", "T", "attempts", "pre.mean", "pre.max", "post.mean",
            "post.max", "min c0", "min c1"});
   std::vector<double> kappas, pre_by_kappa, ls, pre_by_l;
   const std::uint32_t thunk_ops = 4;
+  wfl_bench::ExpJson json;
+  // The two sweeps share their κ=4, L=2 point (at different seeds), so the
+  // name says which sweep a row belongs to.
+  const auto add_row = [&](const char* sweep, const ConfigResult& r) {
+    json.add(std::string("step_bound/") + sweep + "/kappa:" +
+                 std::to_string(r.kappa) + "/L:" + std::to_string(r.locks),
+             "wflock")
+        .field("kappa", r.kappa)
+        .field("L", r.locks)
+        .field("T", r.thunk)
+        .field("attempts", static_cast<double>(r.pre.count()))
+        .field("pre_mean", r.pre.mean())
+        .field("pre_max", r.pre.max())
+        .field("post_mean", r.post.mean())
+        .field("post_max", r.post.max())
+        .field("overruns", static_cast<double>(r.overruns));
+  };
 
   for (std::uint32_t kappa : {1u, 2u, 4u, 6u, 8u}) {
     const std::uint32_t L = 2;
@@ -117,6 +142,7 @@ int main(int argc, char** argv) {
         .cell(r.post.mean(), 1).cell(r.post.max(), 0)
         .cell(r.pre.max() / k2l2t, 2).cell(r.post.max() / klt, 2);
     t.end_row();
+    add_row("vs_kappa", r);
     kappas.push_back(kappa);
     pre_by_kappa.push_back(r.pre.max());
   }
@@ -132,33 +158,45 @@ int main(int argc, char** argv) {
         .cell(r.post.mean(), 1).cell(r.post.max(), 0)
         .cell(r.pre.max() / k2l2t, 2).cell(r.post.max() / klt, 2);
     t.end_row();
+    add_row("vs_L", r);
     ls.push_back(L);
     pre_by_l.push_back(r.pre.max());
   }
-  t.print();
+  t.print(stderr);
 
   const double exp_kappa = fit_log_log_slope(kappas, pre_by_kappa);
   const double exp_l = fit_log_log_slope(ls, pre_by_l);
-  std::printf("\nfitted exponent of max pre-reveal work:  vs kappa = %.2f "
-              "(paper bound: <= 2)\n", exp_kappa);
-  std::printf("fitted exponent of max pre-reveal work:  vs L     = %.2f "
-              "(paper bound: <= 2)\n", exp_l);
+  std::fprintf(stderr,
+               "\nfitted exponent of max pre-reveal work:  vs kappa = %.2f "
+               "(paper bound: <= 2)\n", exp_kappa);
+  std::fprintf(stderr,
+               "fitted exponent of max pre-reveal work:  vs L     = %.2f "
+               "(paper bound: <= 2)\n", exp_l);
+  json.add("step_bound/fit", "wflock")
+      .field("exponent_kappa", exp_kappa)
+      .field("exponent_L", exp_l);
 
   // Pass 2: theory mode with the library defaults — overruns must be zero,
   // and total attempt length must be pinned to T0 + T1 (+reveal).
-  std::printf("\ntheory-mode validation (default c0=c1=24):\n");
+  std::fprintf(stderr, "\ntheory-mode validation (default c0=c1=24):\n");
   bool ok = true;
   for (std::uint32_t kappa : {2u, 4u}) {
     auto r = run_config(kappa, 2, thunk_ops, attempts / 2, DelayMode::kTheory,
                         24.0, seed + 500 + kappa);
-    std::printf("  kappa=%u L=2: overruns=%llu %s\n", kappa,
-                static_cast<unsigned long long>(r.overruns),
-                r.overruns == 0 ? "(ok)" : "(VIOLATION)");
+    std::fprintf(stderr, "  kappa=%u L=2: overruns=%llu %s\n", kappa,
+                 static_cast<unsigned long long>(r.overruns),
+                 r.overruns == 0 ? "(ok)" : "(VIOLATION)");
+    json.add("step_bound/theory/kappa:" + std::to_string(kappa) + "/L:2",
+             "wflock")
+        .field("kappa", kappa)
+        .field("L", 2)
+        .field("overruns", static_cast<double>(r.overruns));
     ok = ok && r.overruns == 0;
   }
   const bool consistent = ok && exp_kappa <= 2.3 && exp_l <= 2.3;
-  std::printf("\nE1 verdict: %s\n",
-              consistent ? "consistent with O(k^2 L^2 T)"
-                         : "INCONSISTENT — investigate");
+  std::fprintf(stderr, "\nE1 verdict: %s\n",
+               consistent ? "consistent with O(k^2 L^2 T)"
+                          : "INCONSISTENT — investigate");
+  json.emit();
   return consistent ? 0 : 1;
 }

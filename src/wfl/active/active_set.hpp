@@ -4,9 +4,10 @@
 // handle of an immutable *snapshot* — the set of owners of this slot and
 // every slot above it. insert() claims the first ownerless slot with one
 // CAS and climbs; remove() clears its slot and climbs; climb(i) walks from
-// slot i down to slot 0, twice per slot, rebuilding
-// `set[j] = set[j+1] + owner[j]` with a CAS. The double pass is the usual
-// helping trick that makes a concurrent climber's stale CAS harmless.
+// slot i down to slot 0, rebuilding `set[j] = set[j+1] + owner[j]` with a
+// CAS. A level whose CAS succeeds is done; one whose CAS failed is tried
+// once more, the f-array propagate (DESIGN.md §3.1): after two failures a
+// rival has installed a snapshot read after this climber reached the level.
 // getSet() is one load of slot 0's snapshot handle — O(1), as Theorem 5.2
 // requires; insert/remove are O(set size + contention).
 //
@@ -227,7 +228,9 @@ class ActiveSet {
     return handle == kNullIndex ? kEmpty : mem_.pool.at(handle);
   }
 
-  // Rebuilds snapshots from slot i down to slot 0 (two attempts per slot).
+  // Rebuilds snapshots from slot i down to slot 0. A level is done once
+  // one of its CASes succeeds; it is tried a second time only when the
+  // first CAS failed (DESIGN.md §3.1).
   void climb(int i, int ebr_pid) {
     // Backpressure: when the snapshot pool runs low (e.g. a preempted
     // process is pinning the epoch), try to reclaim before allocating.
@@ -247,9 +250,9 @@ class ActiveSet {
         if (slots_[j].set.cas(cur, fresh)) {
           // The sentinel is never reclaimed.
           if (cur != kNullIndex) mem_.retire(ebr_pid, cur);
-        } else {
-          mem_.free(ebr_pid, fresh);  // never published
+          break;
         }
+        mem_.free(ebr_pid, fresh);  // never published
       }
     }
   }

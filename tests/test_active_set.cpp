@@ -240,46 +240,94 @@ TEST(ActiveSet, GetSetIsConstantStepCount) {
   EXPECT_EQ(costs[1], costs[2]);  // O(1) getSet, Theorem 5.2
 }
 
-TEST(ActiveSetSim, LinearizabilityContainmentUnderInterleaving) {
-  // Workers churn insert/remove on a shared set; a monitor getSets. Using
-  // the sim's total order we check:
-  //  * items whose insert responded before the getSet and whose remove had
-  //    not been invoked must appear;
-  //  * items whose remove responded before the getSet must not appear;
-  //  * items never inserted must not appear.
-  const int kWorkers = 3;
+// Own steps of an uncontended insert at slot i of a capacity-C set whose
+// slots 0..i-1 are occupied: i+1 owner loads and one owner CAS to claim
+// slot i, then a climb over levels i..0. An uncontended climb's first CAS
+// at each level succeeds, so a level costs four steps (load cur, load the
+// level above, load the owner, CAS) and the top slot three (nothing above
+// it to load). The matching remove is one owner store plus the same climb.
+TEST(ActiveSet, UncontendedClimbStepCount) {
+  IndexPool<SetSnap<SimItem*>> pool{4096};
+  EbrDomain ebr{4};
+  SetMem<SimItem*> mem{pool, ebr};
+  const int pid = ebr.register_participant();
+  for (std::uint32_t cap : {1u, 2u, 4u, 8u}) {
+    for (std::uint32_t i = 0; i < cap; ++i) {
+      SCOPED_TRACE("capacity " + std::to_string(cap) + ", slot " +
+                   std::to_string(i));
+      ActiveSet<SimPlat, SimItem*> set(cap, mem);
+      std::vector<std::unique_ptr<SimItem>> items(i + 1);
+      for (auto& it : items) it = std::make_unique<SimItem>();
+      std::uint64_t insert_steps = 0;
+      std::uint64_t remove_steps = 0;
+      int slot = -1;
+      Simulator sim(1);
+      sim.add_process([&] {
+        EbrDomain::Guard g(ebr, pid);
+        for (std::uint32_t k = 0; k < i; ++k) set.insert(items[k].get(), pid);
+        std::uint64_t before = SimPlat::steps();
+        slot = set.insert(items[i].get(), pid);
+        insert_steps = SimPlat::steps() - before;
+        before = SimPlat::steps();
+        set.remove(slot, pid);
+        remove_steps = SimPlat::steps() - before;
+      });
+      RoundRobinSchedule rr(1);
+      ASSERT_TRUE(sim.run(rr, 1'000'000));
+      ASSERT_EQ(slot, static_cast<int>(i));
+      const std::uint64_t climb = 4 * (i + 1) - (i + 1 == cap ? 1 : 0);
+      EXPECT_EQ(insert_steps, (i + 1) + 1 + climb);
+      EXPECT_EQ(remove_steps, 1 + climb);
+    }
+  }
+}
+
+// Workers churn insert/remove on a shared set; a monitor getSets. Using the
+// sim's total order, each getSet is checked against what every worker had
+// done in one round (one insert and its remove) around the call:
+//  * an item must appear if its insert responded before the call and its
+//    remove was not invoked before the call returned, in the same round;
+//  * an item must not appear if its remove responded (or, before its first
+//    round, nothing was inserted) before the call and no insert was invoked
+//    before the call returned.
+// The state is read both before get_set() and after it returns: its one
+// load is a schedule point, so a worker can start (or finish) a remove or
+// a whole round while the monitor waits for it. Swept over schedule seeds
+// and worker counts; a climb that never retries a level whose CAS failed
+// is caught here.
+void run_containment(int workers, std::uint64_t seed) {
   IndexPool<SetSnap<SimItem*>> pool{65536};
   EbrDomain ebr{8};
   SetMem<SimItem*> mem{pool, ebr};
-  ActiveSet<SimPlat, SimItem*> set(kWorkers, mem);
+  ActiveSet<SimPlat, SimItem*> set(static_cast<std::uint32_t>(workers), mem);
 
+  enum Phase { kOut, kInserting, kIn, kRemoving };
   struct State {
-    bool insert_responded = false;
-    bool remove_invoked = false;
-    bool remove_responded = false;
+    int round = 0;  // inserts invoked so far
+    Phase phase = kOut;
   };
-  std::vector<std::unique_ptr<SimItem>> items(
-      static_cast<std::size_t>(kWorkers));
-  std::vector<State> state(static_cast<std::size_t>(kWorkers));
+  const auto n = static_cast<std::size_t>(workers);
+  std::vector<std::unique_ptr<SimItem>> items(n);
+  std::vector<State> state(n);
   for (auto& it : items) it = std::make_unique<SimItem>();
 
-  Simulator sim(77);
-  for (int w = 0; w < kWorkers; ++w) {
+  Simulator sim(seed);
+  for (int w = 0; w < workers; ++w) {
     sim.add_process([&, w] {
       const int pid = ebr.register_participant();
+      State& st = state[static_cast<std::size_t>(w)];
       for (int round = 0; round < 30; ++round) {
         EbrDomain::Guard g(ebr, pid);
-        State& st = state[static_cast<std::size_t>(w)];
-        st.remove_invoked = st.remove_responded = false;
-        st.insert_responded = false;
+        ++st.round;
+        st.phase = kInserting;
         const int slot = set.insert(items[static_cast<std::size_t>(w)].get(),
                                     pid);
-        st.insert_responded = true;
+        st.phase = kIn;
         // hold membership for a few steps
         for (int s = 0; s < 5; ++s) SimPlat::step();
-        st.remove_invoked = true;
+        st.phase = kRemoving;
         set.remove(slot, pid);
-        st.remove_responded = true;
+        st.phase = kOut;
       }
     });
   }
@@ -288,26 +336,34 @@ TEST(ActiveSetSim, LinearizabilityContainmentUnderInterleaving) {
     const int pid = ebr.register_participant();
     for (int q = 0; q < 200; ++q) {
       EbrDomain::Guard g(ebr, pid);
-      // Capture pre-invocation state (plain reads are safe: one OS thread).
-      std::vector<State> pre = state;
+      // Plain reads are safe: every fiber runs on one OS thread.
+      const std::vector<State> pre = state;
       const auto* snap = set.get_set();
-      for (int w = 0; w < kWorkers; ++w) {
-        const bool present =
-            snap->contains(items[static_cast<std::size_t>(w)].get());
-        const State& st = pre[static_cast<std::size_t>(w)];
-        if (st.insert_responded && !st.remove_invoked && !present) {
+      const std::vector<State> post = state;
+      for (std::size_t w = 0; w < n; ++w) {
+        const bool present = snap->contains(items[w].get());
+        if (pre[w].round != post[w].round) continue;  // a round overlapped
+        if (pre[w].phase == kIn && post[w].phase == kIn && !present) {
           ++violations;  // must have been visible
         }
-        if (st.remove_responded && !st.insert_responded && present) {
+        if (pre[w].phase == kOut && present) {
           ++violations;  // must have been gone
         }
       }
       SimPlat::step();
     }
   });
-  UniformSchedule sched(kWorkers + 1, 555);
+  UniformSchedule sched(workers + 1, seed);
   ASSERT_TRUE(sim.run(sched, 50'000'000));
-  EXPECT_EQ(violations, 0);
+  EXPECT_EQ(violations, 0) << workers << " workers, seed " << seed;
+}
+
+TEST(ActiveSetSim, LinearizabilityContainmentUnderInterleaving) {
+  for (int workers : {3, 4}) {
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      run_containment(workers, seed);
+    }
+  }
 }
 
 TEST(MultiActiveSet, FlagGatesVisibility) {

@@ -456,9 +456,9 @@ TEST_P(FastPathCrashSweepL2, MidPublishCrashIsInvisible) {
 
 INSTANTIATE_TEST_SUITE_P(
     MidPublish, FastPathCrashSweepL2,
-    ::testing::Values(MidPublishCrash{431, 1, 1}, MidPublishCrash{440, 1, 2},
-                      MidPublishCrash{2237, 1, 1}, MidPublishCrash{2464, 1, 2},
-                      MidPublishCrash{423, 2, 1}, MidPublishCrash{424, 2, 2}),
+    ::testing::Values(MidPublishCrash{364, 1, 1}, MidPublishCrash{365, 1, 2},
+                      MidPublishCrash{1796, 1, 1}, MidPublishCrash{1797, 1, 2},
+                      MidPublishCrash{326, 2, 1}, MidPublishCrash{329, 2, 2}),
     [](const ::testing::TestParamInfo<MidPublishCrash>& info) {
       return "slot" + std::to_string(info.param.slot) + "_seed" +
              std::to_string(info.param.seed) + "_held" +
