@@ -6,12 +6,15 @@
 // the known-bounds floor 1/C_p and the adaptive floor 1/(C_p·log2(κLT)),
 // plus the rate ratio (paper: bounded by O(log κLT)) and how often the
 // seer-eliminates rule fired (the cost of our TBD resolution, DESIGN.md
-// substitution #4).
+// substitution #4). The table goes to stderr; stdout carries the same rows
+// as wfl-bench-v1 JSON, pinned byte for byte in EXP_adaptive.json.
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "exp_json.hpp"
 #include "wfl/util/cli.hpp"
 #include "wfl/util/table.hpp"
 #include "wfl/wfl.hpp"
@@ -89,11 +92,13 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.flag_int("seed", 13));
   cli.done();
 
-  std::printf("E8: unknown bounds — adaptive variant vs known-bounds "
-              "(Theorem 6.10)\n\n");
+  std::fprintf(stderr,
+               "E8: unknown bounds — adaptive variant vs known-bounds "
+               "(Theorem 6.10)\n\n");
 
   Table t({"kappa", "L", "known rate", "adaptive rate", "ratio",
            "log2(kLT)", "adaptive floor", "floor held", "tbd-elims"});
+  wfl_bench::ExpJson json;
   bool ok = true;
   for (auto [kappa, L] : {std::pair<std::uint32_t, std::uint32_t>{2, 2},
                           {4, 1},
@@ -111,10 +116,28 @@ int main(int argc, char** argv) {
         .cell(log_factor, 2).cell(floor, 3).cell(held ? "yes" : "NO")
         .cell(adap.tbd_elims);
     t.end_row();
+    json.add("adaptive/kappa:" + std::to_string(kappa) + "/L:" +
+                 std::to_string(L),
+             "wflock")
+        .field("kappa", kappa)
+        .field("L", L)
+        .field("attempts", static_cast<double>(adap.rate.trials()))
+        .field("known_rate", known.rate())
+        .field("known_wilson99_lo", known.wilson_lower())
+        .field("known_wilson99_hi", known.wilson_upper())
+        .field("known_floor", 1.0 / (static_cast<double>(kappa) * L))
+        .field("adaptive_rate", adap.rate.rate())
+        .field("adaptive_wilson99_lo", adap.rate.wilson_lower())
+        .field("adaptive_wilson99_hi", adap.rate.wilson_upper())
+        .field("log2_klt", log_factor)
+        .field("adaptive_floor", floor)
+        .field("floor_held", held ? 1 : 0)
+        .field("tbd_elims", static_cast<double>(adap.tbd_elims));
   }
-  t.print();
-  std::printf("\nE8 verdict: %s\n",
-              ok ? "adaptive variant stays within the log(kLT) band"
-                 : "BAND VIOLATION — investigate");
+  t.print(stderr);
+  std::fprintf(stderr, "\nE8 verdict: %s\n",
+               ok ? "adaptive variant stays within the log(kLT) band"
+                  : "BAND VIOLATION — investigate");
+  json.emit();
   return ok ? 0 : 1;
 }

@@ -8,11 +8,15 @@
 //   * ring(n): dining-philosophers topology — κ = L = 2, C_p = 4, so the
 //     floor is the paper's famous 1/4.
 // Schedules: uniform random and stall-burst (both oblivious). The table
-// reports the measured rate, its Wilson 99% interval, and the floor.
+// (stderr) reports the measured rate, its Wilson 99% interval, and the
+// floor; stdout carries the same rows as wfl-bench-v1 JSON. Every run is
+// simulated, so `./exp_fairness > EXP_fairness.json` pins it byte for byte.
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "exp_json.hpp"
 #include "wfl/util/cli.hpp"
 #include "wfl/util/table.hpp"
 #include "wfl/wfl.hpp"
@@ -40,7 +44,7 @@ Row run_clique(std::uint32_t kappa, std::uint32_t L, const char* sched_name,
   auto space = std::make_unique<Space>(cfg, static_cast<int>(kappa),
                                        static_cast<int>(L));
   Row row;
-  row.workload = "clique k=" + std::to_string(kappa) + " L=" +
+  row.workload = "clique/kappa:" + std::to_string(kappa) + "/L:" +
                  std::to_string(L);
   row.schedule = sched_name;
   row.c_p = kappa * L;
@@ -82,7 +86,7 @@ Row run_ring(int n, const char* sched_name, int attempts,
   cfg.c1 = 8.0;
   auto space = std::make_unique<Space>(cfg, n, n);
   Row row;
-  row.workload = "ring n=" + std::to_string(n);
+  row.workload = "ring/n:" + std::to_string(n);
   row.schedule = sched_name;
   row.c_p = 4;
 
@@ -124,8 +128,9 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.flag_int("seed", 7));
   cli.done();
 
-  std::printf("E2: fairness — per-attempt success rate vs the 1/C_p floor "
-              "(Theorem 6.9)\n\n");
+  std::fprintf(stderr,
+               "E2: fairness — per-attempt success rate vs the 1/C_p floor "
+               "(Theorem 6.9)\n\n");
 
   std::vector<Row> rows;
   rows.push_back(run_clique(2, 1, "uniform", attempts * 2, seed + 1));
@@ -140,6 +145,7 @@ int main(int argc, char** argv) {
 
   Table t({"workload", "schedule", "attempts", "rate", "wilson99-",
            "wilson99+", "floor 1/C_p", "floor held", "overruns"});
+  wfl_bench::ExpJson json;
   bool all_ok = true;
   for (const auto& r : rows) {
     const double floor = 1.0 / r.c_p;
@@ -152,10 +158,20 @@ int main(int argc, char** argv) {
         .cell(r.rate.wilson_upper(), 3).cell(floor, 3)
         .cell(held ? "yes" : "NO").cell(r.overruns);
     t.end_row();
+    json.add("fairness/" + r.workload + "/" + r.schedule, "wflock")
+        .field("c_p", r.c_p)
+        .field("attempts", static_cast<double>(r.rate.trials()))
+        .field("rate", r.rate.rate())
+        .field("wilson99_lo", r.rate.wilson_lower())
+        .field("wilson99_hi", r.rate.wilson_upper())
+        .field("floor", floor)
+        .field("floor_held", held ? 1 : 0)
+        .field("overruns", static_cast<double>(r.overruns));
   }
-  t.print();
-  std::printf("\nE2 verdict: %s\n",
-              all_ok ? "all floors held (and zero delay overruns)"
-                     : "FLOOR VIOLATION — investigate");
+  t.print(stderr);
+  std::fprintf(stderr, "\nE2 verdict: %s\n",
+               all_ok ? "all floors held (and zero delay overruns)"
+                      : "FLOOR VIOLATION — investigate");
+  json.emit();
   return all_ok ? 0 : 1;
 }

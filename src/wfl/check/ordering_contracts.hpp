@@ -26,11 +26,14 @@
 //     for safety (claims, gauges) or that only RMW atomicity is load-
 //     bearing (serial refill); no dynamic check beyond event logging.
 //
-// Sites NOT listed here are intentionally unhooked: pool segment-directory
-// publication (serialized by grow()'s mutex, consumed with acquire loads),
-// pure monotone gauges (freelist_ops, executor wake/park counters), and
-// quiescent teardown reads. A hooked atomic operation that arrives with a
-// weakened order and NO site is itself a finding ("undeclared weakening").
+// Every race::Atomic operation (check/race.hpp) names its Site, and the
+// engine audits the order that actually ran. Words with no Site stay plain
+// std::atomic: pool segment directories (published under grow()'s mutex,
+// consumed with acquire loads), pure monotone gauges (freelist_ops,
+// free_count, executor wake/park counters), the shm liveness lease and
+// os_pid, and the pool's Link::listed double-free bit. A hooked operation
+// that arrives with a weakened order and Site::kUnknown is itself a finding
+// ("undeclared weakening").
 #pragma once
 
 #include <cstdint>
@@ -72,6 +75,7 @@ enum class Site : std::uint8_t {
 
   // --- Per-process hot state (core/process.hpp) ---
   kStatsBump,           // StatsSlab relaxed load-then-store (single writer)
+  kStatsRead,           // StatsSlab relaxed snapshot read (aggregation)
   kSerialRefill,        // serial high-water relaxed fetch_add
   kFastReadyLoad,       // cooldown-token count relaxed load (fast_ready)
   kFastReadyStore,      // cooldown-token count relaxed store
@@ -94,7 +98,7 @@ enum class Site : std::uint8_t {
   kAsyncStateLoad,      // AsyncOp state acquire load
   kAsyncRefsDrop,       // AsyncOp refs acq_rel fetch_sub (last deletes)
   kAsyncClientLive,     // client live flag release store / acquire load
-  kAsyncInlineLatch,    // inline_busy_ acquire CAS / release store
+  kAsyncInlineLatch,    // inline latches: acquire CAS / release store
   kAsyncInFlight,       // in_flight_ acquire load / acq_rel sub (shutdown)
 
   // --- Lock-free work queue (util/work_queue.hpp, DESIGN.md §8) ---
@@ -211,6 +215,8 @@ inline constexpr SiteInfo kSiteTable[] = {
     {Site::kStatsBump, "proc.stats_bump", Contract::kOrderedWrites,
      "unsynchronized load-then-store is exact iff the slab has one writer; "
      "checked: all writes to a counter must be pairwise HB-ordered"},
+    {Site::kStatsRead, "proc.stats_read", Contract::kAdvisory,
+     "a relaxed snapshot, exact once the writer is quiescent"},
     {Site::kSerialRefill, "proc.serial_refill", Contract::kAtomicOnly,
      "block handout needs uniqueness (RMW atomicity), not ordering"},
     {Site::kFastReadyLoad, "proc.fast_ready_load", Contract::kAdvisory,
@@ -247,8 +253,9 @@ inline constexpr SiteInfo kSiteTable[] = {
     {Site::kAsyncClientLive, "async.client_live", Contract::kReleaseStore,
      "crash() publishes; workers acquire-load before touching the session"},
     {Site::kAsyncInlineLatch, "async.inline_latch", Contract::kAdvisory,
-     "a lock, not an RMW site: acquire-CAS take / release-store give; "
-     "clock transfer is modeled through the engine's mutex events"},
+     "a claim-or-skip lock: the acquire CAS that takes it joins the "
+     "release store that gave it back, so the critical sections are "
+     "ordered through the word itself"},
     {Site::kAsyncInFlight, "async.in_flight", Contract::kAcqRelRmw,
      "shutdown's drain loop joins every completer's final writes"},
 

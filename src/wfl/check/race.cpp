@@ -587,6 +587,13 @@ std::uint64_t RaceEngine::events() const { return impl_->events; }
 std::uint64_t RaceEngine::foreign_events() const { return impl_->foreign; }
 std::uint64_t RaceEngine::last_seed() const { return impl_->seed; }
 
+std::optional<std::uint64_t> RaceEngine::shadow_of(const void* addr) const {
+  std::lock_guard<std::mutex> g(impl_->mu);
+  const auto it = impl_->locs.find(addr);
+  if (it == impl_->locs.end() || !it->second.has_shadow) return std::nullopt;
+  return it->second.shadow;
+}
+
 void RaceEngine::report(std::ostream& os) const {
   std::lock_guard<std::mutex> g(impl_->mu);
   os << "[wfl-race] " << impl_->findings.size() << " finding(s), "

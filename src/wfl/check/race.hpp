@@ -3,13 +3,16 @@
 //
 // Three cooperating pieces:
 //
-//   1. CheckedPlat (platform/checked.hpp) forwards every Plat::Atomic
-//      operation — with its address, operation kind, declared memory_order
-//      and value — into the engine via the hooks below.
-//   2. Raw std::atomic sites that PRs 4-6 weakened below seq_cst carry
-//      WFL_CHK_ATOMIC/WFL_CHK_FENCE annotations naming their Site in
-//      check/ordering_contracts.hpp; the engine audits the declared
-//      contract and feeds the same vector-clock model.
+//   1. race::Atomic<T> (below) is the one audited atomic. Each operation
+//      takes its memory_order and its Site (check/ordering_contracts.hpp)
+//      and reports what actually ran — kind, order, the value written or
+//      observed — so the audited description cannot drift from the call.
+//      Infrastructure words that run below seq_cst (EBR, pools, executor
+//      plumbing) hold one directly; CheckedPlat::Atomic/Wake are built on
+//      it and add only the step.
+//   2. The engine looks every reported Site up in the contract table and
+//      audits the order that ran against it, and feeds the same vector-
+//      clock model.
 //   3. Known plain-memory protocols (descriptor line group A, SlotCache
 //      batches, fiber stacks, AsyncOp outcomes) carry WFL_PLAIN_READ /
 //      WFL_PLAIN_WRITE region annotations checked FastTrack-style against
@@ -40,9 +43,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "wfl/check/ordering_contracts.hpp"
@@ -55,7 +61,7 @@ enum class Op : std::uint8_t {
   kCasOk,
   kCasFail,  // value = the observed (expected-out) word
   kExchange,
-  kFetchAdd,  // value = the post-add word
+  kFetchAdd,  // value = the post-RMW word (fetch_add and fetch_sub)
   kInit,
   kPeek,
 };
@@ -103,6 +109,9 @@ class RaceEngine {
   std::uint64_t events() const;         // processed on the owner thread
   std::uint64_t foreign_events() const; // poison-only, from other threads
   std::uint64_t last_seed() const;      // seed of the most recent sim run
+  // The value the last hooked operation on `addr` reported (its shadow);
+  // empty when the address is untracked or was retired.
+  std::optional<std::uint64_t> shadow_of(const void* addr) const;
 
   // Print all findings plus, per finding, the tail of the event trace
   // filtered to the conflicting address (the "shrunk" reproducer).
@@ -150,8 +159,8 @@ inline void plain_read(const void* region, Site site) {
 inline void plain_write(const void* region, Site site) {
   if (RaceEngine* e = engine()) plain_event_slow(e, region, true, site);
 }
-// Atomic cell lifetime (CheckedPlat ctor/dtor): seeds the shadow value and
-// retires the address so heap reuse cannot alias stale state.
+// Cell lifetime (race::Atomic ctor/dtor, fiber stacks): seeds the shadow
+// value and retires the address so heap reuse cannot alias stale state.
 inline void created(const void* addr, std::uint64_t val) {
   if (RaceEngine* e = engine()) lifetime_event_slow(e, addr, true, val);
 }
@@ -190,18 +199,120 @@ inline void run_boundary(bool entering, std::uint64_t seed) {
   if (RaceEngine* e = engine()) run_boundary_slow(e, entering, seed);
 }
 
+// A value's 64-bit image, for the shadow-value check. Wider or
+// non-trivially-copyable values report 0 and skip it.
+template <typename T>
+std::uint64_t bits(const T& v) {
+  if constexpr (std::is_trivially_copyable_v<T> && sizeof(T) <= 8) {
+    std::uint64_t x = 0;
+    std::memcpy(&x, &v, sizeof(T));
+    return x;
+  } else {
+    return 0;
+  }
+}
+
+// The order a failed compare-exchange runs with, given its success order
+// (the single-order std::atomic overloads derive it the same way).
+constexpr std::memory_order failure_order(std::memory_order o) {
+  return o == std::memory_order_acq_rel   ? std::memory_order_acquire
+         : o == std::memory_order_release ? std::memory_order_relaxed
+                                          : o;
+}
+
+// One std::atomic<T> that reports every operation it runs: its kind, the
+// order it ran with, its Site, and the value it wrote (store, successful
+// CAS, exchange, the post value of an RMW) or observed (load, failed CAS).
+// Construction seeds the address's shadow and destruction retires it, so
+// storage reuse cannot alias a previous life. Same size and layout as
+// std::atomic<T>: ShmArena offsets do not move.
+template <typename T>
+class Atomic {
+ public:
+  Atomic() : Atomic(T{}) {}
+  explicit Atomic(T v) : v_(v) { created(&v_, bits(v)); }
+  ~Atomic() {
+    static_assert(sizeof(Atomic) == sizeof(std::atomic<T>) &&
+                  alignof(Atomic) == alignof(std::atomic<T>) &&
+                  std::is_standard_layout_v<Atomic>);
+    destroyed(&v_);
+  }
+
+  Atomic(const Atomic&) = delete;
+  Atomic& operator=(const Atomic&) = delete;
+
+  T load(std::memory_order o, Site s) const {
+    const T v = v_.load(o);
+    atomic_event(&v_, Op::kLoad, o, s, bits(v));
+    return v;
+  }
+  void store(T v, std::memory_order o, Site s) {
+    v_.store(v, o);
+    atomic_event(&v_, Op::kStore, o, s, bits(v));
+  }
+  bool compare_exchange_strong(T& expected, T desired, std::memory_order o,
+                               Site s) {
+    return cas_event(v_.compare_exchange_strong(expected, desired, o),
+                     expected, desired, o, s);
+  }
+  bool compare_exchange_weak(T& expected, T desired, std::memory_order o,
+                             Site s) {
+    return cas_event(v_.compare_exchange_weak(expected, desired, o),
+                     expected, desired, o, s);
+  }
+  T exchange(T v, std::memory_order o, Site s) {
+    const T prev = v_.exchange(v, o);
+    atomic_event(&v_, Op::kExchange, o, s, bits(v));
+    return prev;
+  }
+  T fetch_add(T d, std::memory_order o, Site s) {
+    const T prev = v_.fetch_add(d, o);
+    atomic_event(&v_, Op::kFetchAdd, o, s, bits(static_cast<T>(prev + d)));
+    return prev;
+  }
+  T fetch_sub(T d, std::memory_order o, Site s) {
+    const T prev = v_.fetch_sub(d, o);
+    atomic_event(&v_, Op::kFetchAdd, o, s, bits(static_cast<T>(prev - d)));
+    return prev;
+  }
+
+  // Relaxed accesses outside any protocol, audited as such: init() is legal
+  // only while the word is quiescent (kInitOnly), peek() only with no
+  // unordered concurrent writer (kQuiescentRead) — teardown reads,
+  // assertions on an owner's own word, post-run checks.
+  void init(T v) {
+    v_.store(v, std::memory_order_relaxed);
+    atomic_event(&v_, Op::kInit, std::memory_order_relaxed, Site::kAtomicInit,
+                 bits(v));
+  }
+  T peek() const {
+    const T v = v_.load(std::memory_order_relaxed);
+    atomic_event(&v_, Op::kPeek, std::memory_order_relaxed, Site::kAtomicPeek,
+                 bits(v));
+    return v;
+  }
+
+ private:
+  bool cas_event(bool ok, const T& observed, const T& desired,
+                 std::memory_order o, Site s) {
+    atomic_event(&v_, ok ? Op::kCasOk : Op::kCasFail,
+                 ok ? o : failure_order(o), s, bits(ok ? desired : observed));
+    return ok;
+  }
+
+  std::atomic<T> v_;
+};
+
+// A standalone fence, reported with its Site.
+inline void fence(std::memory_order o, Site s) {
+  std::atomic_thread_fence(o);
+  fence_event(o, s);
+}
+
 }  // namespace wfl::race
 
-// Annotation macros used at product call sites. `op` is an Op enumerator
-// name, `ord` a memory_order suffix (relaxed/acquire/...), `site` a Site
-// enumerator name.
-#define WFL_CHK_ATOMIC(addr, op, ord, site, val)                            \
-  ::wfl::race::atomic_event((addr), ::wfl::race::Op::op,                    \
-                            std::memory_order_##ord,                        \
-                            ::wfl::race::Site::site,                        \
-                            static_cast<std::uint64_t>(val))
-#define WFL_CHK_FENCE(ord, site) \
-  ::wfl::race::fence_event(std::memory_order_##ord, ::wfl::race::Site::site)
+// Annotation macros for plain-memory regions and Plat::Atomic call sites.
+// `site` is a Site enumerator name.
 #define WFL_PLAIN_READ(region, site) \
   ::wfl::race::plain_read((region), ::wfl::race::Site::site)
 #define WFL_PLAIN_WRITE(region, site) \

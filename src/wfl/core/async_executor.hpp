@@ -96,7 +96,7 @@
 // construction). kTheory timing is owned by the paper's delay schedule;
 // parking would perturb the reveal-time argument, and bit-identical
 // kTheory step traces are a hard regression gate. The executor's own
-// plumbing (queues, wait lists, state CASes) is raw std::atomic/mutex,
+// plumbing (queues, wait lists, state CASes) is race::Atomic/mutex,
 // outside the step model, same as reclamation (DESIGN.md #2).
 #pragma once
 
@@ -130,23 +130,13 @@ template <typename Space>
 class BasicAsyncClient {
  public:
   explicit BasicAsyncClient(BasicSession<Space>& session)
-      : session_(&session) {
-    // Seed the analysis layer's shadow state and retire it on destruction:
-    // live_ is annotated with WFL_CHK_ATOMIC at every access, so a client
-    // constructed at a recycled heap address must not alias the previous
-    // occupant's final (crashed) value.
-    race::created(&live_, 1);
-  }
-
-  ~BasicAsyncClient() { race::destroyed(&live_); }
+      : session_(&session) {}
 
   BasicAsyncClient(const BasicAsyncClient&) = delete;
   BasicAsyncClient& operator=(const BasicAsyncClient&) = delete;
 
   bool live() const {
-    const bool r = live_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&live_, kLoad, acquire, kAsyncClientLive, r ? 1 : 0);
-    return r;
+    return live_.load(std::memory_order_acquire, race::Site::kAsyncClientLive);
   }
 
   // Crash-harness hook: pending submissions complete as cancelled
@@ -155,8 +145,8 @@ class BasicAsyncClient {
   // caller's to abandon (WflBackend::abandon) — the two are independent
   // layers.
   void crash() {
-    live_.store(false, std::memory_order_release);
-    WFL_CHK_ATOMIC(&live_, kStore, release, kAsyncClientLive, 0);
+    live_.store(false, std::memory_order_release,
+                race::Site::kAsyncClientLive);
   }
 
   BasicSession<Space>& session() const { return *session_; }
@@ -166,21 +156,19 @@ class BasicAsyncClient {
   // under this client's session. Claim-or-skip, never block.
   bool try_acquire_inline() {
     bool expect = false;
-    const bool ok = inline_busy_.compare_exchange_strong(
-        expect, true, std::memory_order_acquire);
-    // A lock in all but name; the analysis layer models it as one.
-    if (ok) race::mutex_acquire(&inline_busy_);
-    return ok;
+    return inline_busy_.compare_exchange_strong(
+        expect, true, std::memory_order_acquire,
+        race::Site::kAsyncInlineLatch);
   }
   void release_inline() {
-    race::mutex_release(&inline_busy_);
-    inline_busy_.store(false, std::memory_order_release);
+    inline_busy_.store(false, std::memory_order_release,
+                       race::Site::kAsyncInlineLatch);
   }
 
  private:
   BasicSession<Space>* session_;
-  std::atomic<bool> live_{true};
-  std::atomic<bool> inline_busy_{false};
+  race::Atomic<bool> live_{true};
+  race::Atomic<bool> inline_busy_{false};
 };
 
 template <typename Plat>
@@ -205,7 +193,7 @@ class AsyncExecutor {
   // The in-flight submission record. Everything a parked submission IS:
   // no stack, no thread, no registered process.
   struct AsyncOp {
-    // Cycle ownership state machine (raw atomics; plumbing, not steps):
+    // Cycle ownership state machine (race::Atomic; plumbing, not steps):
     //   kQueued    in a run queue, never yet attempted
     //   kRunning   a cycle owns it (attempting, or queued for re-attempt)
     //   kSignalled kRunning + a release event arrived: must re-attempt
@@ -222,9 +210,6 @@ class AsyncExecutor {
         : client(&c), policy(p), armed(a) {
       n_locks = locks.size();
       for (std::uint32_t i = 0; i < n_locks; ++i) ids[i] = locks[i];
-      race::created(&state, kQueued);
-      race::created(&refs, 2);
-      race::created(&q_next, 0);
     }
 
     LockSetView locks() const {
@@ -240,9 +225,9 @@ class AsyncExecutor {
     bool cancelled = false;
     Outcome out;
 
-    std::atomic<std::uint32_t> state{kQueued};
+    race::Atomic<std::uint32_t> state{kQueued};
     // Two owners: the Ticket and the executor. Last one out deletes.
-    std::atomic<std::uint32_t> refs{2};
+    race::Atomic<std::uint32_t> refs{2};
     typename Plat::Wake done_wake;
 
     // Intrusive wait-list nodes, one per lock of the set. Touched only
@@ -256,20 +241,17 @@ class AsyncExecutor {
 
     // MPSC injector link (work_queue.hpp): written by the pushing thread
     // before the head CAS publishes it, read by the sole consumer.
-    std::atomic<AsyncOp*> q_next{nullptr};
+    race::Atomic<AsyncOp*> q_next{nullptr};
 
     // The owning executor's live-record gauge (see live_ops()).
     std::atomic<std::uint64_t>* live_gauge = nullptr;
 
     void unref() {
-      const std::uint32_t prev = refs.fetch_sub(1, std::memory_order_acq_rel);
-      WFL_CHK_ATOMIC(&refs, kFetchAdd, acq_rel, kAsyncRefsDrop, prev - 1);
-      if (prev == 1) {
+      if (refs.fetch_sub(1, std::memory_order_acq_rel,
+                         race::Site::kAsyncRefsDrop) == 1) {
         live_gauge->fetch_sub(1, std::memory_order_relaxed);
-        // Retire tracked addresses before the storage can be heap-reused.
-        race::destroyed(&state);
-        race::destroyed(&refs);
-        race::destroyed(&q_next);
+        // Retire the outcome region before the storage can be heap-reused
+        // (the race::Atomic members retire themselves).
         race::destroyed(&out);
         delete this;
       }
@@ -301,20 +283,14 @@ class AsyncExecutor {
 
     bool valid() const { return op_ != nullptr; }
     bool done() const {
-      if (op_ == nullptr) return false;
-      const std::uint32_t s = op_->state.load(std::memory_order_acquire);
-      WFL_CHK_ATOMIC(&op_->state, kLoad, acquire, kAsyncStateLoad, s);
-      return s == AsyncOp::kDone;
+      return op_ != nullptr && load_state(op_) == AsyncOp::kDone;
     }
     // True while the submission is parked on its wait nodes (it lost an
     // attempt and no wake has arrived) — the state cancel_client's
     // parked-claim exists for. Introspection for tests and the schedule
     // fuzzer's crash targeting; racy by nature, use as a hint only.
     bool parked() const {
-      if (op_ == nullptr) return false;
-      const std::uint32_t s = op_->state.load(std::memory_order_acquire);
-      WFL_CHK_ATOMIC(&op_->state, kLoad, acquire, kAsyncStateLoad, s);
-      return s == AsyncOp::kParked;
+      return op_ != nullptr && load_state(op_) == AsyncOp::kParked;
     }
 
     // Blocks until the submission completes and returns its Outcome.
@@ -410,9 +386,8 @@ class AsyncExecutor {
     live_ops_.fetch_add(1, std::memory_order_relaxed);
     // acq_rel, matching the drain side: the shutdown loop's acquire load
     // must never observe a count weaker than the queue state it mirrors.
-    const std::uint64_t now =
-        in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    WFL_CHK_ATOMIC(&in_flight_, kFetchAdd, acq_rel, kAsyncInFlight, now);
+    in_flight_.fetch_add(1, std::memory_order_acq_rel,
+                         race::Site::kAsyncInFlight);
     enqueue(op);
     return Ticket(op, this);
   }
@@ -454,12 +429,9 @@ class AsyncExecutor {
         AsyncOp* op = n->op;
         if (op->client != &client) continue;
         std::uint32_t expect = AsyncOp::kParked;
-        if (op->state.compare_exchange_strong(expect, AsyncOp::kRunning,
-                                              std::memory_order_acq_rel)) {
-          WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                         AsyncOp::kRunning);
+        if (cas_state(op, expect, AsyncOp::kRunning)) {
           WFL_FUZZ_SITE(kSiteAsyncCancelSweep);
-          if (fuzz::fault_on(fuzz::Fault::kShutdownHang)) {
+          if (fuzz::fault_on<Plat>(fuzz::Fault::kShutdownHang)) {
             // Seeded fault (fuzz mutation gate): the PR 6 shutdown hang.
             // The sweep claims the crashed client's parked op, but its
             // dispatch lands on a pool whose workers already exited —
@@ -472,20 +444,8 @@ class AsyncExecutor {
           } else {
             enqueue_claimed(op);
           }
-        } else {
-          WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas,
-                         expect);
-          if (expect == AsyncOp::kRunning) {
-            const bool sig = op->state.compare_exchange_strong(
-                expect, AsyncOp::kSignalled, std::memory_order_acq_rel);
-            if (sig) {
-              WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                             AsyncOp::kSignalled);
-            } else {
-              WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas,
-                             expect);
-            }
-          }
+        } else if (expect == AsyncOp::kRunning) {
+          cas_state(op, expect, AsyncOp::kSignalled);
         }
       }
     }
@@ -497,9 +457,8 @@ class AsyncExecutor {
   // Submissions accepted and not yet complete (queued, attempting, or
   // parked).
   std::uint64_t in_flight() const {
-    const std::uint64_t n = in_flight_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&in_flight_, kLoad, acquire, kAsyncInFlight, n);
-    return n;
+    return in_flight_.load(std::memory_order_acquire,
+                           race::Site::kAsyncInFlight);
   }
   // Live session records: submitted and the Outcome not yet consumed
   // (the Ticket still open), whatever the op's state. This is the
@@ -557,15 +516,12 @@ class AsyncExecutor {
   static constexpr std::uint32_t kWkSignalled = 2;
 
   struct Worker {
-    explicit Worker(Space& s) : session(s) {
-      race::created(&state, kWkAwake);
-    }
-    ~Worker() { race::destroyed(&state); }
+    explicit Worker(Space& s) : session(s) {}
 
     Session session;  // the registered process attempts run under
     ChaseLevDeque<AsyncOp*> deque;  // owner push/take bottom, thieves top
     MpscInjector<AsyncOp> inbox;    // external dispatch lands here
-    std::atomic<std::uint32_t> state{kWkAwake};
+    race::Atomic<std::uint32_t> state{kWkAwake};
     typename Plat::Wake wake;
     Counters counters;
     std::thread thread;
@@ -602,6 +558,28 @@ class AsyncExecutor {
     }
   };
 
+  // --- op state word -------------------------------------------------------
+
+  static std::uint32_t load_state(const AsyncOp* op) {
+    return op->state.load(std::memory_order_acquire,
+                          race::Site::kAsyncStateLoad);
+  }
+  static void store_state(AsyncOp* op, std::uint32_t s) {
+    op->state.store(s, std::memory_order_release, race::Site::kAsyncStateStore);
+  }
+  static bool cas_state(AsyncOp* op, std::uint32_t& expect, std::uint32_t s) {
+    return op->state.compare_exchange_strong(expect, s,
+                                             std::memory_order_acq_rel,
+                                             race::Site::kAsyncStateCas);
+  }
+  // Detaches `op` from the intrusive chain it heads; returns the rest.
+  static AsyncOp* unlink_next(AsyncOp* op) {
+    AsyncOp* next =
+        op->q_next.load(std::memory_order_relaxed, race::Site::kInjNext);
+    op->q_next.store(nullptr, std::memory_order_relaxed, race::Site::kInjNext);
+    return next;
+  }
+
   // --- event delivery -----------------------------------------------------
 
   // Events are posted synchronously by the attempting context, so the
@@ -621,30 +599,20 @@ class AsyncExecutor {
          n = n->next) {
       AsyncOp* op = n->op;
       if (op == self) continue;
-      std::uint32_t s = op->state.load(std::memory_order_acquire);
-      WFL_CHK_ATOMIC(&op->state, kLoad, acquire, kAsyncStateLoad, s);
+      std::uint32_t s = load_state(op);
       if (s == AsyncOp::kParked) {
-        if (op->state.compare_exchange_strong(s, AsyncOp::kRunning,
-                                              std::memory_order_acq_rel)) {
-          WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                         AsyncOp::kRunning);
+        if (cas_state(op, s, AsyncOp::kRunning)) {
           counters_here().wakes.fetch_add(1, std::memory_order_relaxed);
           enqueue_claimed(op);
           return;  // wake-one
         }
-        WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas, s);
-        s = op->state.load(std::memory_order_acquire);
-        WFL_CHK_ATOMIC(&op->state, kLoad, acquire, kAsyncStateLoad, s);
+        s = load_state(op);
       }
       if (s == AsyncOp::kRunning) {
-        if (op->state.compare_exchange_strong(s, AsyncOp::kSignalled,
-                                              std::memory_order_acq_rel)) {
-          WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                         AsyncOp::kSignalled);
+        if (cas_state(op, s, AsyncOp::kSignalled)) {
           counters_here().signals.fetch_add(1, std::memory_order_relaxed);
           return;  // converted into that op's immediate retry
         }
-        WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas, s);
       }
       if (s == AsyncOp::kSignalled) return;  // absorbed: a retry is owed
     }
@@ -665,7 +633,7 @@ class AsyncExecutor {
   void fuzz_limbo_push(AsyncOp* op) {
     AsyncOp* head = fuzz_limbo_.load(std::memory_order_relaxed);
     do {
-      op->q_next.store(head, std::memory_order_relaxed);
+      op->q_next.store(head, std::memory_order_relaxed, race::Site::kInjNext);
     } while (!fuzz_limbo_.compare_exchange_weak(
         head, op, std::memory_order_release, std::memory_order_relaxed));
   }
@@ -675,11 +643,10 @@ class AsyncExecutor {
   // load on the clean tree.
   void fuzz_limbo_drain() {
     if (fuzz_limbo_.load(std::memory_order_relaxed) == nullptr) return;
-    if (fuzz::fault_on(fuzz::Fault::kShutdownHang)) return;
+    if (fuzz::fault_on<Plat>(fuzz::Fault::kShutdownHang)) return;
     AsyncOp* op = fuzz_limbo_.exchange(nullptr, std::memory_order_acquire);
     while (op != nullptr) {
-      AsyncOp* next = op->q_next.load(std::memory_order_relaxed);
-      op->q_next.store(nullptr, std::memory_order_relaxed);
+      AsyncOp* next = unlink_next(op);
       enqueue_claimed(op);
       op = next;
     }
@@ -728,10 +695,8 @@ class AsyncExecutor {
         rr_.fetch_add(1, std::memory_order_relaxed) % n;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t j = (pick + i) % n;
-      const std::uint32_t s =
-          workers_[j]->state.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&workers_[j]->state, kLoad, seq_cst, kWkrState, s);
-      if (s != kWkIdle) {
+      if (workers_[j]->state.load(std::memory_order_seq_cst,
+                                  race::Site::kWkrState) != kWkIdle) {
         pick = j;
         break;
       }
@@ -746,18 +711,9 @@ class AsyncExecutor {
   // Dekker with our push), and a signalled one already owes a wake —
   // both skip the syscall.
   void wake_worker(Worker& tgt) {
-    std::uint32_t s = tgt.state.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&tgt.state, kLoad, seq_cst, kWkrState, s);
-    if (s == kWkIdle) {
-      if (tgt.state.compare_exchange_strong(s, kWkSignalled,
-                                            std::memory_order_seq_cst,
-                                            std::memory_order_seq_cst)) {
-        WFL_CHK_ATOMIC(&tgt.state, kCasOk, seq_cst, kWkrState, kWkSignalled);
-        counters_here().wake_posts.fetch_add(1, std::memory_order_relaxed);
-        tgt.wake.post();
-        return;
-      }
-      WFL_CHK_ATOMIC(&tgt.state, kCasFail, seq_cst, kWkrState, s);
+    if (tgt.state.load(std::memory_order_seq_cst, race::Site::kWkrState) ==
+        kWkIdle) {
+      if (signal_idle(tgt)) return;
       // Lost the race: the worker woke by itself or another producer
       // signalled it; either absorbs our wake.
     }
@@ -769,19 +725,26 @@ class AsyncExecutor {
     const std::size_t n = workers_.size();
     for (std::size_t i = 1; i < n; ++i) {
       Worker& v = *workers_[(self_index + i) % n];
-      std::uint32_t s = v.state.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&v.state, kLoad, seq_cst, kWkrState, s);
-      if (s != kWkIdle) continue;
-      if (v.state.compare_exchange_strong(s, kWkSignalled,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst)) {
-        WFL_CHK_ATOMIC(&v.state, kCasOk, seq_cst, kWkrState, kWkSignalled);
-        counters_here().wake_posts.fetch_add(1, std::memory_order_relaxed);
-        v.wake.post();
-        return;
+      if (v.state.load(std::memory_order_seq_cst, race::Site::kWkrState) !=
+          kWkIdle) {
+        continue;
       }
-      WFL_CHK_ATOMIC(&v.state, kCasFail, seq_cst, kWkrState, s);
+      if (signal_idle(v)) return;
     }
+  }
+
+  // CAS an idle worker to kWkSignalled and post its futex; false when it
+  // woke by itself or another producer signalled it first.
+  bool signal_idle(Worker& w) {
+    std::uint32_t s = kWkIdle;
+    if (!w.state.compare_exchange_strong(s, kWkSignalled,
+                                         std::memory_order_seq_cst,
+                                         race::Site::kWkrState)) {
+      return false;
+    }
+    counters_here().wake_posts.fetch_add(1, std::memory_order_relaxed);
+    w.wake.post();
+    return true;
   }
 
   // Spill the whole inbox into the owner's deque, keeping the oldest for
@@ -818,27 +781,17 @@ class AsyncExecutor {
         // rest land on the deque oldest-at-the-steal-end.
         AsyncOp* fifo = nullptr;
         while (chain != nullptr) {
-          AsyncOp* next = chain->q_next.load(std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&chain->q_next, kLoad, relaxed, kInjNext,
-                         detail::ptr_bits(next));
-          chain->q_next.store(fifo, std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&chain->q_next, kStore, relaxed, kInjNext,
-                         detail::ptr_bits(fifo));
+          AsyncOp* next = chain->q_next.load(std::memory_order_relaxed,
+                                             race::Site::kInjNext);
+          chain->q_next.store(fifo, std::memory_order_relaxed,
+                              race::Site::kInjNext);
           fifo = chain;
           chain = next;
         }
         op = fifo;
-        AsyncOp* rest = fifo->q_next.load(std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&fifo->q_next, kLoad, relaxed, kInjNext,
-                       detail::ptr_bits(rest));
-        op->q_next.store(nullptr, std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&op->q_next, kStore, relaxed, kInjNext, 0);
+        AsyncOp* rest = unlink_next(op);
         while (rest != nullptr) {
-          AsyncOp* next = rest->q_next.load(std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&rest->q_next, kLoad, relaxed, kInjNext,
-                         detail::ptr_bits(next));
-          rest->q_next.store(nullptr, std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&rest->q_next, kStore, relaxed, kInjNext, 0);
+          AsyncOp* next = unlink_next(rest);
           self.deque.push(rest);
           rest = next;
         }
@@ -856,13 +809,13 @@ class AsyncExecutor {
   AsyncOp* inline_pop() {
     bool expect = false;
     if (!inline_consumer_.compare_exchange_strong(
-            expect, true, std::memory_order_acquire)) {
+            expect, true, std::memory_order_acquire,
+            race::Site::kAsyncInlineLatch)) {
       return nullptr;
     }
-    race::mutex_acquire(&inline_consumer_);
     AsyncOp* op = inline_inj_.pop();
-    race::mutex_release(&inline_consumer_);
-    inline_consumer_.store(false, std::memory_order_release);
+    inline_consumer_.store(false, std::memory_order_release,
+                           race::Site::kAsyncInlineLatch);
     return op;
   }
 
@@ -927,19 +880,14 @@ class AsyncExecutor {
     // waiter on the same lock strands forever. (Found by the schedule
     // fuzzer: cancel_client claims a parked op, a release signals the
     // claimed op, its final cycle used to wipe the signal and cancel.)
-    const std::uint32_t entry =
-        op->state.exchange(AsyncOp::kRunning, std::memory_order_acq_rel);
-    WFL_CHK_ATOMIC(&op->state, kExchange, acq_rel, kAsyncStateCas,
-                   AsyncOp::kRunning);
+    const std::uint32_t entry = op->state.exchange(
+        AsyncOp::kRunning, std::memory_order_acq_rel,
+        race::Site::kAsyncStateCas);
     bool owed_signal = entry == AsyncOp::kSignalled;
     for (;;) {
       if (op->cancelled || !op->client->live()) {
         op->cancelled = true;
-        if (owed_signal) {
-          op->state.store(AsyncOp::kSignalled, std::memory_order_release);
-          WFL_CHK_ATOMIC(&op->state, kStore, release, kAsyncStateStore,
-                         AsyncOp::kSignalled);
-        }
+        if (owed_signal) store_state(op, AsyncOp::kSignalled);
         complete(op);
         break;
       }
@@ -964,20 +912,14 @@ class AsyncExecutor {
       // exit left).
       if (op->cancelled || !op->client->live()) continue;
       std::uint32_t expect = AsyncOp::kRunning;
-      if (op->state.compare_exchange_strong(expect, AsyncOp::kParked,
-                                            std::memory_order_acq_rel)) {
-        WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                       AsyncOp::kParked);
+      if (cas_state(op, expect, AsyncOp::kParked)) {
         counters_here().parks.fetch_add(1, std::memory_order_relaxed);
         break;  // parked: cycle over, wait nodes carry the wake
       }
-      WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas, expect);
       // A release event landed mid-attempt (kSignalled): consume it and
       // re-attempt on this same quantum. Owed until that attempt happens —
       // the loop top may cancel first (same hand-back as the entry case).
-      op->state.store(AsyncOp::kRunning, std::memory_order_release);
-      WFL_CHK_ATOMIC(&op->state, kStore, release, kAsyncStateStore,
-                     AsyncOp::kRunning);
+      store_state(op, AsyncOp::kRunning);
       owed_signal = true;
     }
   }
@@ -989,24 +931,21 @@ class AsyncExecutor {
       op->out.won = false;
     }
     std::uint32_t prev;
-    if (fuzz::fault_on(fuzz::Fault::kLostWake)) {
+    if (fuzz::fault_on<Plat>(fuzz::Fault::kLostWake)) {
       // Seeded fault (fuzz mutation gate): the original PR 6 bug — a
       // plain store that never learns it overwrote a kSignalled, so the
       // wake-one delivery it absorbed is silently dropped. The coverage
       // tap still observes the overwrite (without acting on it) so
       // fault-mode mutants are steered toward the absorbed-signal state
       // the drop needs.
-      if (op->state.load(std::memory_order_relaxed) == AsyncOp::kSignalled) {
+      if (load_state(op) == AsyncOp::kSignalled) {
         WFL_FUZZ_SITE(kSiteAsyncSignalOnDone);
       }
       prev = AsyncOp::kRunning;
-      op->state.store(AsyncOp::kDone, std::memory_order_release);
-      WFL_CHK_ATOMIC(&op->state, kStore, release, kAsyncStateStore,
-                     AsyncOp::kDone);
+      store_state(op, AsyncOp::kDone);
     } else {
-      prev = op->state.exchange(AsyncOp::kDone, std::memory_order_acq_rel);
-      WFL_CHK_ATOMIC(&op->state, kExchange, acq_rel, kAsyncStateCas,
-                     AsyncOp::kDone);
+      prev = op->state.exchange(AsyncOp::kDone, std::memory_order_acq_rel,
+                                race::Site::kAsyncStateCas);
     }
     // A release event that raced with this op's final attempt CASed
     // kRunning -> kSignalled and counted itself delivered (wake-one).
@@ -1021,9 +960,8 @@ class AsyncExecutor {
         deliver_event(op->ids[i], -1);
       }
     }
-    const std::uint64_t left =
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    WFL_CHK_ATOMIC(&in_flight_, kFetchAdd, acq_rel, kAsyncInFlight, left);
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel,
+                         race::Site::kAsyncInFlight);
     completed_.fetch_add(1, std::memory_order_relaxed);
     op->done_wake.post_all();
     op->unref();
@@ -1058,7 +996,7 @@ class AsyncExecutor {
         // and a worker that left on "queues momentarily empty" would
         // strand that work and wedge shutdown's in_flight_ drain.
         if (stopping_.load(std::memory_order_acquire)) {
-          if (in_flight_.load(std::memory_order_acquire) == 0) break;
+          if (in_flight() == 0) break;
           std::this_thread::yield();  // sweep in progress; stay pollable
           continue;
         }
@@ -1090,14 +1028,13 @@ class AsyncExecutor {
   // treats as awake and wake_worker as already owed a post.
   void park(Worker& self) {
     const std::uint32_t seen = self.wake.prepare();
-    self.state.store(kWkIdle, std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&self.state, kStore, seq_cst, kWkrState, kWkIdle);
+    self.state.store(kWkIdle, std::memory_order_seq_cst, race::Site::kWkrState);
     idle_workers_.fetch_add(1, std::memory_order_relaxed);
     if (self.inbox.empty() && !stopping_.load(std::memory_order_acquire)) {
       self.wake.wait(seen);
     }
-    self.state.store(kWkAwake, std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&self.state, kStore, seq_cst, kWkrState, kWkAwake);
+    self.state.store(kWkAwake, std::memory_order_seq_cst,
+                     race::Site::kWkrState);
     idle_workers_.fetch_sub(1, std::memory_order_relaxed);
   }
 
@@ -1108,13 +1045,13 @@ class AsyncExecutor {
       // thread. Clients may already be gone only if their ops are done
       // (documented lifetime), so live() reads here are safe.
       sweep_cancel_all();
-      while (in_flight_.load(std::memory_order_acquire) != 0) {
+      while (in_flight() != 0) {
         if (run_ready(0) == 0) sweep_cancel_all();
       }
     } else {
       // Workers drain the queues; parked ops are swept in as cancelled
       // work until nothing is left, then the pool is joined.
-      while (in_flight_.load(std::memory_order_acquire) != 0) {
+      while (in_flight() != 0) {
         sweep_cancel_all();
         std::this_thread::yield();
       }
@@ -1166,16 +1103,10 @@ class AsyncExecutor {
            n = n->next) {
         AsyncOp* op = n->op;
         std::uint32_t expect = AsyncOp::kParked;
-        if (op->state.compare_exchange_strong(expect, AsyncOp::kRunning,
-                                              std::memory_order_acq_rel)) {
-          WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                         AsyncOp::kRunning);
+        if (cas_state(op, expect, AsyncOp::kRunning)) {
           WFL_FUZZ_SITE(kSiteAsyncCancelSweep);
           op->cancelled = true;
           enqueue_claimed(op);
-        } else {
-          WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas,
-                         expect);
         }
       }
     }
@@ -1193,7 +1124,7 @@ class AsyncExecutor {
 
   // Inline mode's shared run queue + its claim-or-skip consumer latch.
   MpscInjector<AsyncOp> inline_inj_;
-  std::atomic<bool> inline_consumer_{false};
+  race::Atomic<bool> inline_consumer_{false};
 
   // Fuzz-only: ops diverted by the armed kShutdownHang fault (see
   // fuzz_limbo_push/fuzz_limbo_drain).
@@ -1202,7 +1133,7 @@ class AsyncExecutor {
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> rr_{0};
   std::atomic<std::size_t> idle_workers_{0};  // advisory sibling-wake gate
-  std::atomic<std::uint64_t> in_flight_{0};
+  race::Atomic<std::uint64_t> in_flight_{0};
   std::atomic<std::uint64_t> live_ops_{0};
   std::atomic<std::uint64_t> completed_{0};
   // Non-worker contexts' counter slot + post-shutdown accumulator.

@@ -57,6 +57,7 @@ struct AttemptInfo {
 template <typename Plat, typename Ctx>
 struct AttemptEngine {
   using Desc = typename Ctx::Desc;
+  using Site = race::Site;
 
   // The core competition procedure (lines 26-37). `p` may be the caller's
   // own descriptor or one being helped; the code cannot tell and must not.
@@ -126,13 +127,11 @@ struct AttemptEngine {
       return;
     }
     const std::uint64_t mine = static_cast<std::uint64_t>(cx.pid()) + 1;
-    const std::uint64_t claim = q.help_claim.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&q.help_claim, kLoad, relaxed, kHelpClaimLoad, claim);
+    const std::uint64_t claim =
+        q.help_claim.load(std::memory_order_relaxed, Site::kHelpClaimLoad);
     if (claim != 0 && claim != mine) {
-      const std::uint32_t skips =
-          q.claim_skips.fetch_add(1, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&q.claim_skips, kFetchAdd, relaxed, kClaimSkipsBump,
-                     skips + 1);
+      const std::uint32_t skips = q.claim_skips.fetch_add(
+          1, std::memory_order_relaxed, Site::kClaimSkipsBump);
       if (skips < cx.claim_patience()) {
         cx.stats().add_help_claim_skip();
         celebrate_if_won(cx, q);
@@ -143,20 +142,13 @@ struct AttemptEngine {
     // Unclaimed, or the claim went stale: take (or revoke) it and drive.
     // Plain store, not CAS — the claim is advisory, so the last writer
     // winning is fine; correctness never depends on who holds it.
-    q.help_claim.store(mine, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&q.help_claim, kStore, relaxed, kHelpClaimStore, mine);
-    q.claim_skips.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&q.claim_skips, kStore, relaxed, kClaimSkipsReset, 0);
+    q.help_claim.store(mine, std::memory_order_relaxed,
+                       Site::kHelpClaimStore);
+    q.claim_skips.store(0, std::memory_order_relaxed, Site::kClaimSkipsReset);
     run(cx, q);
     std::uint64_t expect = mine;  // release unless someone revoked us
-    const bool released = q.help_claim.compare_exchange_strong(
-        expect, 0, std::memory_order_relaxed);
-    if (released) {
-      WFL_CHK_ATOMIC(&q.help_claim, kCasOk, relaxed, kHelpClaimRelease, 0);
-    } else {
-      WFL_CHK_ATOMIC(&q.help_claim, kCasFail, relaxed, kHelpClaimRelease,
-                     expect);
-    }
+    q.help_claim.compare_exchange_strong(expect, 0, std::memory_order_relaxed,
+                                         Site::kHelpClaimRelease);
   }
 
   static void decide(Desc& p) { p.status.cas(kStatusActive, kStatusWon); }

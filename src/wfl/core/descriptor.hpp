@@ -56,20 +56,7 @@ template <typename Plat,
 struct alignas(kCacheLine) Descriptor {
   using Thunk = ThunkT;
 
-  // Lifetime hooks for the raw atomics below: descriptors sit in pool
-  // segments whose heap addresses get reused across table generations, so
-  // the analysis layer must see construction reset their shadow state.
-  Descriptor() {
-    race::created(&retire_refs, 0);
-    race::created(&help_claim, 0);
-    race::created(&claim_skips, 0);
-  }
-  ~Descriptor() {
-    race::destroyed(&retire_refs);
-    race::destroyed(&help_claim);
-    race::destroyed(&claim_skips);
-  }
-
+  Descriptor() = default;
   Descriptor(const Descriptor&) = delete;
   Descriptor& operator=(const Descriptor&) = delete;
 
@@ -84,13 +71,13 @@ struct alignas(kCacheLine) Descriptor {
   // --- owner-private bookkeeping (never read by helpers) ---
   int slot_of_lock[kMaxLocksPerAttempt] = {};
 
-  // --- reclamation bookkeeping (raw atomic: memory management is outside
-  // the step model, DESIGN.md substitution #2) ---
+  // --- reclamation bookkeeping (race::Atomic, not Plat::Atomic: memory
+  // management is outside the step model, DESIGN.md substitution #2) ---
   // A descriptor visible in k shards is retired into all k EBR domains;
   // each expiring grace period drops one reference and the last frees the
   // pool slot (see LockTable::release_descriptor). Set by the owner before
   // the first retire; untouched by reinit.
-  std::atomic<std::uint32_t> retire_refs{0};
+  race::Atomic<std::uint32_t> retire_refs{0};
 
   // --- line group B: shared competition state, helper-CAS'd ---
   alignas(kCacheLine) typename Plat::template Atomic<std::int64_t> priority;
@@ -101,12 +88,12 @@ struct alignas(kCacheLine) Descriptor {
   // descriptor (they still celebrate a win) — until claim_skips exceeds the
   // engine's patience, at which point the claim is revoked and the next
   // observer drives anyway, so a crashed claimer delays an attempt by a
-  // bounded number of observations. Raw atomics: advisory scheduling state
+  // bounded number of observations. race::Atomic: advisory scheduling state
   // outside the step model, same stance as reclamation (substitution #2).
   // Lives on the helper-hammered line — it is written on exactly the
   // schedule that line already absorbs.
-  std::atomic<std::uint64_t> help_claim{0};
-  std::atomic<std::uint32_t> claim_skips{0};
+  race::Atomic<std::uint64_t> help_claim{0};
+  race::Atomic<std::uint32_t> claim_skips{0};
 
   // --- line group C: the thunk log, CAS'd during replays ---
   alignas(kCacheLine) ThunkLog<Plat> log;
@@ -130,10 +117,10 @@ struct alignas(kCacheLine) Descriptor {
     tag_base = idem_tag_base(new_serial);
     priority.init(kPriorityPending);
     status.init(kStatusActive);
-    help_claim.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&help_claim, kStore, relaxed, kHelpClaimStore, 0);
-    claim_skips.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&claim_skips, kStore, relaxed, kClaimSkipsReset, 0);
+    help_claim.store(0, std::memory_order_relaxed,
+                     race::Site::kHelpClaimStore);
+    claim_skips.store(0, std::memory_order_relaxed,
+                      race::Site::kClaimSkipsReset);
     return log.reset_used();
   }
 };

@@ -165,13 +165,7 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
     // path's probes are skipped entirely).
     fast_enabled_ = cfg_.delay_mode == DelayMode::kOff && cfg_.fast_path;
     cooperative_ = cfg_.delay_mode == DelayMode::kOff;
-    // Raw atomic with hooked accesses: seed its shadow, and retire it in
-    // the destructor, so a table built in reused storage cannot alias a
-    // previous table's tracked state.
-    race::created(&wake_sink_, 0);
   }
-
-  ~LockTable() { race::destroyed(&wake_sink_); }
 
   const LockConfig& config() const { return cfg_; }
 
@@ -179,9 +173,8 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
   // install before submitting any traffic they want notifications for;
   // the async executor clears it only after its workers have drained.
   void set_wake_sink(WakeSink* sink) {
-    wake_sink_.store(sink, std::memory_order_release);
-    WFL_CHK_ATOMIC(&wake_sink_, kStore, release, kWakeSinkInstall,
-                   reinterpret_cast<std::uintptr_t>(sink));
+    wake_sink_.store(sink, std::memory_order_release,
+                     race::Site::kWakeSinkInstall);
   }
 
   // One tryLock attempt on `lock_ids` running `thunk` if all locks are
@@ -262,9 +255,8 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
     d.thunk = std::move(thunk);
     // Line group A is complete; the set insert below publishes it.
     WFL_PLAIN_WRITE(&d, kDescPlain);
-    d.retire_refs.store(n_att_shards, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&d.retire_refs, kStore, relaxed, kRetireRefsInit,
-                   n_att_shards);
+    d.retire_refs.store(n_att_shards, std::memory_order_relaxed,
+                        race::Site::kRetireRefsInit);
 
     AttemptCtx cx{*this, h};
 
@@ -381,7 +373,7 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
     // first, which lets a rival drive a half-published attempt).
     if (n == 1) {
       fd.priority.init(draw_priority<Plat>());
-    } else if (fuzz::fault_on(fuzz::Fault::kThinEarlyReveal)) {
+    } else if (fuzz::fault_on<Plat>(fuzz::Fault::kThinEarlyReveal)) {
       fd.priority.store(draw_priority<Plat>());
     }
     WFL_PLAIN_WRITE(&fd, kDescPlain);  // complete before the publish CAS
@@ -399,7 +391,7 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
         return false;
       }
     }
-    if (n > 1 && !fuzz::fault_on(fuzz::Fault::kThinEarlyReveal)) {
+    if (n > 1 && !fuzz::fault_on<Plat>(fuzz::Fault::kThinEarlyReveal)) {
       fd.priority.store(draw_priority<Plat>());  // the reveal
     }
     const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
@@ -602,9 +594,8 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
   // its wait-list locks, so advisory ordering here suffices).
   void notify_release(std::span<const std::uint32_t> lock_ids,
                       int origin_pid) {
-    WakeSink* sink = wake_sink_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&wake_sink_, kLoad, acquire, kWakeSinkLoad,
-                   reinterpret_cast<std::uintptr_t>(sink));
+    WakeSink* sink =
+        wake_sink_.load(std::memory_order_acquire, race::Site::kWakeSinkLoad);
     if (sink == nullptr) return;
     for (const std::uint32_t id : lock_ids) sink->on_release(id, origin_pid);
   }
@@ -616,11 +607,8 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
   static void release_descriptor(void* ctx, std::uint32_t handle) {
     auto* cache = static_cast<SlotCache<Desc>*>(ctx);
     Desc& d = cache->pool().at(handle);
-    const std::uint32_t prev =
-        d.retire_refs.fetch_sub(1, std::memory_order_acq_rel);
-    WFL_CHK_ATOMIC(&d.retire_refs, kFetchAdd, acq_rel, kRetireRefsDrop,
-                   prev - 1);
-    if (prev == 1) {
+    if (d.retire_refs.fetch_sub(1, std::memory_order_acq_rel,
+                                race::Site::kRetireRefsDrop) == 1) {
       cache->free(handle);
     } else {
       // Multi-shard descriptor: another shard's grace period still holds a
@@ -636,10 +624,10 @@ class LockTable : public TableCore<Plat, Descriptor<Plat>> {
   // lock's word with observe CASes and the owner with publish/release
   // CASes — neighbouring locks must not share that line.
   std::vector<CachePadded<ThinWord>> thin_;
-  // Raw atomic (not Plat::Atomic): loads of the sink are runtime plumbing,
+  // race::Atomic, not Plat::Atomic: loads of the sink are runtime plumbing,
   // not steps of the paper's model — installing one must not perturb step
   // accounting. Null whenever no async executor is attached.
-  std::atomic<WakeSink*> wake_sink_{nullptr};
+  race::Atomic<WakeSink*> wake_sink_{nullptr};
 };
 
 }  // namespace wfl

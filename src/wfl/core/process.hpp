@@ -27,7 +27,6 @@
 // (core/shm_table.hpp) each hold one handle too.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -53,43 +52,29 @@ inline constexpr std::uint64_t kSerialBlock = 1024;
 // writer it is exact, and it keeps the hot path free of lock-prefixed
 // read-modify-writes entirely.
 struct StatsSlab {
-  std::atomic<std::uint64_t> attempts{0};
-  std::atomic<std::uint64_t> wins{0};
-  std::atomic<std::uint64_t> helps{0};
-  std::atomic<std::uint64_t> eliminations{0};
-  std::atomic<std::uint64_t> thunk_runs{0};
-  std::atomic<std::uint64_t> t0_overruns{0};
-  std::atomic<std::uint64_t> t1_overruns{0};
+  race::Atomic<std::uint64_t> attempts{0};
+  race::Atomic<std::uint64_t> wins{0};
+  race::Atomic<std::uint64_t> helps{0};
+  race::Atomic<std::uint64_t> eliminations{0};
+  race::Atomic<std::uint64_t> thunk_runs{0};
+  race::Atomic<std::uint64_t> t0_overruns{0};
+  race::Atomic<std::uint64_t> t1_overruns{0};
   // Adaptive variant only (§6.2 seer-eliminates rule); unused by the
   // known-bounds table but striped the same way.
-  std::atomic<std::uint64_t> tbd_eliminations{0};
+  race::Atomic<std::uint64_t> tbd_eliminations{0};
   // Thunk-log slots re-initialized by descriptor reinit (the lazy-reset
   // figure: O(ops used) per attempt instead of O(kThunkLogCap)).
-  std::atomic<std::uint64_t> log_slot_resets{0};
+  race::Atomic<std::uint64_t> log_slot_resets{0};
   // Contended-path optimization counters (DESIGN.md §5):
-  std::atomic<std::uint64_t> fastpath_hits{0};
-  std::atomic<std::uint64_t> fastpath_revocations{0};
-  std::atomic<std::uint64_t> help_claim_skips{0};
+  race::Atomic<std::uint64_t> fastpath_hits{0};
+  race::Atomic<std::uint64_t> fastpath_revocations{0};
+  race::Atomic<std::uint64_t> help_claim_skips{0};
 
-  // The counters are raw atomics with hooked stores: seed their shadows
-  // here and retire them with the slab, so a later slab in reused storage
-  // cannot alias this one's tracked state.
-  StatsSlab() {
-    for (std::atomic<std::uint64_t>* c : counters()) race::created(c, 0);
-  }
-  ~StatsSlab() {
-    for (std::atomic<std::uint64_t>* c : counters()) race::destroyed(c);
-  }
-
-  static void bump(std::atomic<std::uint64_t>& c) {
-    const std::uint64_t nv = c.load(std::memory_order_relaxed) + 1;
-    c.store(nv, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&c, kStore, relaxed, kStatsBump, nv);
-  }
-  static void bump_by(std::atomic<std::uint64_t>& c, std::uint64_t n) {
-    const std::uint64_t nv = c.load(std::memory_order_relaxed) + n;
-    c.store(nv, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&c, kStore, relaxed, kStatsBump, nv);
+  static void bump(race::Atomic<std::uint64_t>& c) { bump_by(c, 1); }
+  static void bump_by(race::Atomic<std::uint64_t>& c, std::uint64_t n) {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    c.store(c.load(kRelaxed, race::Site::kStatsBump) + n, kRelaxed,
+            race::Site::kStatsBump);
   }
   void add_attempt() { bump(attempts); }
   void add_win() { bump(wins); }
@@ -105,26 +90,21 @@ struct StatsSlab {
   void add_help_claim_skip() { bump(help_claim_skips); }
 
   void accumulate_into(LockStats& s) const {
-    s.attempts += attempts.load(std::memory_order_relaxed);
-    s.wins += wins.load(std::memory_order_relaxed);
-    s.helps += helps.load(std::memory_order_relaxed);
-    s.eliminations += eliminations.load(std::memory_order_relaxed);
-    s.thunk_runs += thunk_runs.load(std::memory_order_relaxed);
-    s.t0_overruns += t0_overruns.load(std::memory_order_relaxed);
-    s.t1_overruns += t1_overruns.load(std::memory_order_relaxed);
-    s.tbd_eliminations += tbd_eliminations.load(std::memory_order_relaxed);
-    s.log_slot_resets += log_slot_resets.load(std::memory_order_relaxed);
-    s.fastpath_hits += fastpath_hits.load(std::memory_order_relaxed);
-    s.fastpath_revocations +=
-        fastpath_revocations.load(std::memory_order_relaxed);
-    s.help_claim_skips += help_claim_skips.load(std::memory_order_relaxed);
-  }
-
-  std::array<std::atomic<std::uint64_t>*, 12> counters() {
-    return {&attempts, &wins, &helps, &eliminations, &thunk_runs,
-            &t0_overruns, &t1_overruns, &tbd_eliminations,
-            &log_slot_resets, &fastpath_hits, &fastpath_revocations,
-            &help_claim_skips};
+    auto read = [](const race::Atomic<std::uint64_t>& c) {
+      return c.load(std::memory_order_relaxed, race::Site::kStatsRead);
+    };
+    s.attempts += read(attempts);
+    s.wins += read(wins);
+    s.helps += read(helps);
+    s.eliminations += read(eliminations);
+    s.thunk_runs += read(thunk_runs);
+    s.t0_overruns += read(t0_overruns);
+    s.t1_overruns += read(t1_overruns);
+    s.tbd_eliminations += read(tbd_eliminations);
+    s.log_slot_resets += read(log_slot_resets);
+    s.fastpath_hits += read(fastpath_hits);
+    s.fastpath_revocations += read(fastpath_revocations);
+    s.help_claim_skips += read(help_claim_skips);
   }
 };
 
@@ -142,20 +122,14 @@ class ProcessHandle {
   // known-bounds LockTable wants it; the adaptive space, whose descriptors
   // carry kMaxLocksPerAttempt frozen snapshots each, does not pay for it).
   ProcessHandle(int pid, std::uint32_t num_shards,
-                std::atomic<std::uint64_t>& serial_hwm,
+                race::Atomic<std::uint64_t>& serial_hwm,
                 bool with_fast_desc = false)
       : pid_(pid),
         serial_hwm_(&serial_hwm),
         fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr),
         guard_depth_(num_shards, 0) {
     WFL_CHECK(pid >= 0 && num_shards > 0);
-    // fast_cooldown_ is a raw std::atomic with hooked accessors; seed its
-    // shadow and retire it in the dtor so heap reuse of the handle's
-    // storage cannot alias stale tracked state from a prior object.
-    race::created(&fast_cooldown_, 0);
   }
-
-  ~ProcessHandle() { race::destroyed(&fast_cooldown_); }
 
   ProcessHandle(const ProcessHandle&) = delete;
   ProcessHandle& operator=(const ProcessHandle&) = delete;
@@ -198,22 +172,17 @@ class ProcessHandle {
     WFL_DASSERT(fast_desc_ != nullptr);
     return *fast_desc_;
   }
-  bool fast_ready() const {
-    const std::uint32_t left = fast_cooldown_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&fast_cooldown_, kLoad, relaxed, kFastReadyLoad, left);
-    return left == 0;
-  }
+  bool fast_ready() const { return fast_cooldown_left() == 0; }
   // Sets the number of outstanding cooldown tokens (grace periods).
   void set_fast_cooldown(std::uint32_t tokens) {
-    fast_cooldown_.store(tokens, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&fast_cooldown_, kStore, relaxed, kFastReadyStore, tokens);
+    fast_cooldown_.store(tokens, std::memory_order_relaxed,
+                         race::Site::kFastReadyStore);
   }
   // EbrDomain deleter shape for one cooldown token; ctx is the handle. The
   // last token to expire re-arms the embedded descriptor.
   static void fast_cooldown_expired(void* ctx, std::uint32_t) {
     auto* h = static_cast<ProcessHandle*>(ctx);
-    const std::uint32_t left =
-        h->fast_cooldown_.load(std::memory_order_relaxed) - 1;
+    const std::uint32_t left = h->fast_cooldown_left() - 1;
     h->set_fast_cooldown(left);
     if (left == 0) WFL_FUZZ_SITE(kSiteCooldownResume);
   }
@@ -250,6 +219,11 @@ class ProcessHandle {
   }
 
  private:
+  std::uint32_t fast_cooldown_left() const {
+    return fast_cooldown_.load(std::memory_order_relaxed,
+                               race::Site::kFastReadyLoad);
+  }
+
   // Next descriptor serial, from the process's private block; refills from
   // the shared high-water mark once per kSerialBlock attempts (the only
   // process-shared write on this path, amortized to ~nothing). Only the
@@ -258,10 +232,8 @@ class ProcessHandle {
   // cross-process table shared this code.
   std::uint64_t next_serial() {
     if (serial_next_ == serial_end_) {
-      serial_next_ =
-          serial_hwm_->fetch_add(kSerialBlock, std::memory_order_acq_rel);
-      WFL_CHK_ATOMIC(serial_hwm_, kFetchAdd, acq_rel, kSerialRefill,
-                     serial_next_ + kSerialBlock);
+      serial_next_ = serial_hwm_->fetch_add(
+          kSerialBlock, std::memory_order_acq_rel, race::Site::kSerialRefill);
       serial_end_ = serial_next_ + kSerialBlock;
     }
     return serial_next_++;
@@ -270,17 +242,17 @@ class ProcessHandle {
   int pid_;
   std::uint64_t serial_next_ = 0;
   std::uint64_t serial_end_ = 0;
-  std::atomic<std::uint64_t>* serial_hwm_;
+  race::Atomic<std::uint64_t>* serial_hwm_;
   CachePadded<StatsSlab> stats_;
   MemberList<DescT*> help_scratch_;
   MemberList<DescT*> run_scratch_;
   ThunkLog<Plat> local_log_;
   std::unique_ptr<DescT> fast_desc_;
   // Outstanding cooldown tokens; 0 = the embedded descriptor is reusable.
-  // Raw atomic: counted down by the EBR cooldown deleters, which run on the
+  // Counted down by the EBR cooldown deleters, which run on the
   // owning participant or under quiescent domain teardown (another
   // thread), so the load-then-store has one writer at a time.
-  std::atomic<std::uint32_t> fast_cooldown_{0};
+  race::Atomic<std::uint32_t> fast_cooldown_{0};
   std::vector<std::uint32_t> guard_depth_;
 };
 

@@ -175,7 +175,7 @@ struct ShmTableHeader {
   std::uint64_t ebr_off = 0;
   std::uint64_t sets_off = 0;      // std::uint64_t[num_locks]: set offsets
   std::uint64_t sessions_off = 0;  // ShmSessionRec[max_procs]
-  std::atomic<std::uint64_t> serial_hwm{1};
+  race::Atomic<std::uint64_t> serial_hwm{1};
 };
 
 class ShmLockTable {
@@ -231,7 +231,7 @@ class ShmLockTable {
 
    private:
     friend class ShmLockTable;
-    Session(int pid, std::atomic<std::uint64_t>& serial_hwm)
+    Session(int pid, race::Atomic<std::uint64_t>& serial_hwm)
         : h_(pid, /*num_shards=*/1, serial_hwm) {}
 
     ProcessHandle<RealPlat, Desc> h_;
@@ -381,7 +381,8 @@ class ShmLockTable {
       d.lock_ids[i] = lock_ids[i];
     }
     d.thunk = thunk;
-    d.retire_refs.store(1, std::memory_order_relaxed);
+    d.retire_refs.store(1, std::memory_order_relaxed,
+                        race::Site::kRetireRefsInit);
     // Publish the in-flight handle for a potential reaper BEFORE the first
     // set insert: from here on a crash leaves recoverable state.
     rec(s.pid()).cur_desc.store(didx + 1, std::memory_order_release);
@@ -673,9 +674,10 @@ class ShmLockTable {
   static void release_descriptor(void* ctx, std::uint32_t handle) {
     auto* cache = static_cast<SlotCache<Desc>*>(ctx);
     Desc& d = cache->pool().at(handle);
-    const std::uint32_t prev =
-        d.retire_refs.fetch_sub(1, std::memory_order_acq_rel);
-    if (prev == 1) cache->free(handle);
+    if (d.retire_refs.fetch_sub(1, std::memory_order_acq_rel,
+                                race::Site::kRetireRefsDrop) == 1) {
+      cache->free(handle);
+    }
   }
 
   const ShmArena* arena_ = nullptr;

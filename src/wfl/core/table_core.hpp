@@ -140,13 +140,7 @@ class TableCore {
           layout.set_capacity,
           shards_[shard_of(static_cast<std::uint32_t>(i))]->set_mem));
     }
-    // Raw atomic with hooked accesses: seed its shadow, and retire it in
-    // the destructor, so a table built in reused storage cannot alias a
-    // previous table's tracked state.
-    race::created(&serial_hwm_, 1);
   }
-
-  ~TableCore() { race::destroyed(&serial_hwm_); }
 
   // Registers the calling logical process. A pid released by a destroyed
   // Session is reused, handle and all (stats, serial block, scratch carry
@@ -394,7 +388,7 @@ class TableCore {
   std::vector<std::unique_ptr<EbrDomain>> ebr_;
   std::vector<std::unique_ptr<Set>> locks_;
 
-  std::atomic<std::uint64_t> serial_hwm_{1};
+  race::Atomic<std::uint64_t> serial_hwm_{1};
   ProcSlots pids_;
   std::atomic<int> registered_{0};
 };

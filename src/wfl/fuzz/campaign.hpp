@@ -47,13 +47,15 @@ namespace wfl::fuzz {
 // trace's engine-model mutation (race_* faults) for the duration; any
 // findings the auditor raises are folded into the oracle verdict. Reuses an
 // already-installed engine (the _checked test binaries install one at
-// startup) or lazily installs a campaign-local one.
+// startup); otherwise a fresh engine is installed for this replay only, so
+// the plain SimPlat runs between checked replays feed no engine and no
+// per-address state outlives the replay that made it.
 inline RunResult run_trace_checked(const Trace& t) {
+  std::optional<race::RaceEngine> local;
   race::RaceEngine* eng = race::engine();
   if (eng == nullptr) {
-    static race::RaceEngine local;
-    local.install();
-    eng = &local;
+    eng = &local.emplace();
+    eng->install();
   }
   const std::optional<FaultSpec> f = parse_fault(t.fault);
   if (f.has_value() && f->engine_mutation) eng->set_mutation(f->mutation);

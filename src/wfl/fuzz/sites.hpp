@@ -14,13 +14,13 @@
 //     either fold into those aggregates or have no counter at all. A tap
 //     gives each of them its own feature-map dimension.
 //
-//   * wfl::fuzz::fault_on(f) — seeded-fault gates for mutation-testing
-//     the campaign itself (DESIGN.md §9.4). A fault re-introduces a real,
-//     previously-shipped bug behind a flag that only the fuzz driver and
-//     the reproducer regression tests ever raise; the CI gate requires
-//     the bounded campaign to find each one. The hooks guard the FIXED
-//     code, so a clean tree with no fault enabled runs the exact shipped
-//     logic.
+//   * wfl::fuzz::fault_on<Plat>(f) — seeded-fault gates for mutation-
+//     testing the campaign itself (DESIGN.md §9.4). A fault re-introduces
+//     a real, previously-shipped bug behind a flag that only the fuzz
+//     driver and the reproducer regression tests ever raise; the CI gate
+//     requires the bounded campaign to find each one. The hooks guard the
+//     FIXED code, so a clean tree with no fault enabled runs the exact
+//     shipped logic, and a RealPlat build compiles them out.
 //
 // This header is include-light on purpose (only <atomic>/<cstdint>): it
 // is pulled into core headers (lock_table/attempt/process/work_queue/
@@ -133,8 +133,17 @@ enum class Fault : std::uint8_t {
 
 inline std::atomic<Fault> g_fault{Fault::kNone};
 
-inline bool fault_on(Fault f) {
-  return g_fault.load(std::memory_order_relaxed) == f;
+// Compile-time false unless Plat is simulated: faults are armed only by
+// the fuzz replays (SimPlat/CheckedPlat), so a RealPlat instantiation
+// carries neither the fault branch nor a reference to g_fault.
+template <typename Plat>
+bool fault_on(Fault f) {
+  if constexpr (Plat::kSimulated) {
+    return g_fault.load(std::memory_order_relaxed) == f;
+  } else {
+    (void)f;
+    return false;
+  }
 }
 
 class FaultScope {

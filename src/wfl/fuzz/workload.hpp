@@ -925,6 +925,7 @@ RunResult run_async_trace(const Trace& t) {
 // Plain replay: arms the trace's g_fault hook (if any) for the duration.
 template <typename Plat>
 RunResult run_trace(const Trace& t) {
+  static_assert(Plat::kSimulated, "faults are armed only in simulation");
   const std::optional<FaultSpec> f = parse_fault(t.fault);
   if (!f.has_value()) {
     RunResult r;

@@ -100,12 +100,7 @@ class ThunkLog {
  public:
   ThunkLog() {
     for (auto& s : slots_) s.init(kCellEmptySlot);
-    // Logs live inside pool-segment descriptors whose heap addresses get
-    // reused across LockTable generations; retire the raw note word so a
-    // successor at the same address starts from fresh shadow state.
-    race::created(&used_ops_, 0);
   }
-  ~ThunkLog() { race::destroyed(&used_ops_); }
 
   ThunkLog(const ThunkLog&) = delete;
   ThunkLog& operator=(const ThunkLog&) = delete;
@@ -114,20 +109,18 @@ class ThunkLog {
   // of the thunk (IdemCtx::ops_used() at return). Slot consumption is
   // deterministic across runs (agreement forces identical branches), so
   // all completed runs record the same exact value; a preempted helper has
-  // touched only a prefix of the same slot sequence. Raw relaxed atomic:
+  // touched only a prefix of the same slot sequence. Relaxed race::Atomic:
   // bookkeeping outside the step model, and racing writers write equal
   // values.
   void note_used(std::uint32_t ops) {
-    used_ops_.store(ops, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&used_ops_, kStore, relaxed, kLogNoteUsed, ops);
+    used_ops_.store(ops, std::memory_order_relaxed, race::Site::kLogNoteUsed);
   }
 
   // Quiescent-only full reset: for logs whose runs do not maintain the
   // note_used high-water mark (the baseline adapters, ExclusiveIdem).
   void reset() {
     for (auto& s : slots_) s.init(kCellEmptySlot);
-    used_ops_.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&used_ops_, kStore, relaxed, kLogNoteUsed, 0);
+    note_used(0);
   }
 
   // Quiescent-only LAZY reset: called when the owning descriptor is
@@ -140,12 +133,11 @@ class ThunkLog {
   // O(kThunkLogCap) — and returns that count (surfaced through the
   // lock-space stats).
   std::uint32_t reset_used() {
-    const std::uint32_t used = used_ops_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&used_ops_, kLoad, relaxed, kLogNoteUsed, used);
+    const std::uint32_t used =
+        used_ops_.load(std::memory_order_relaxed, race::Site::kLogNoteUsed);
     const std::uint32_t n = std::min(2 * used, kThunkLogCap);
     for (std::uint32_t i = 0; i < n; ++i) slots_[i].init(kCellEmptySlot);
-    used_ops_.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&used_ops_, kStore, relaxed, kLogNoteUsed, 0);
+    note_used(0);
     return n;
   }
 
@@ -164,7 +156,7 @@ class ThunkLog {
 
  private:
   typename Plat::template Atomic<std::uint64_t> slots_[kThunkLogCap];
-  std::atomic<std::uint32_t> used_ops_{0};  // raw: outside the step model
+  race::Atomic<std::uint32_t> used_ops_{0};  // outside the step model
 };
 
 // Per-run cursor over a shared ThunkLog. Each run of the thunk constructs

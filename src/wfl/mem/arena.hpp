@@ -2,7 +2,7 @@
 //
 // The lock algorithm allocates descriptors and immutable set snapshots on
 // every attempt. The paper's model treats allocation as primitive, so pool
-// operations use raw std::atomic and are *not* counted as algorithm steps
+// operations use race::Atomic and are *not* counted as algorithm steps
 // (DESIGN.md substitution #2); they are also excluded from the wait-freedom
 // accounting, exactly as the paper excludes memory management.
 //
@@ -97,7 +97,6 @@ class IndexPool {
 
   ~IndexPool() {
     if (!own_) return;  // arena storage belongs to the arena
-    race::destroyed(&st_->head);
     for (std::uint32_t s = 0; s < dir_size(); ++s) {
       delete[] items_dir_[s].load(std::memory_order_relaxed);
       delete[] links_dir_[s].load(std::memory_order_relaxed);
@@ -159,23 +158,20 @@ class IndexPool {
   // out[0, returned) is meaningful: a lost race leaves its walk behind.
   std::uint32_t try_alloc_batch(std::uint32_t* out, std::uint32_t want) {
     WFL_DASSERT(want > 0);
-    std::uint64_t head = st_->head.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&st_->head, kLoad, acquire, kPoolHeadLoad, head);
+    std::uint64_t head =
+        st_->head.load(std::memory_order_acquire, Site::kPoolHeadLoad);
     while (index_of(head) != kNullIndex) {
       std::uint32_t got = 0;
       std::uint32_t idx = index_of(head);
       while (got < want && idx != kNullIndex) {
         out[got++] = idx;
-        const std::uint32_t nxt =
-            link(idx).next.load(std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&link(idx).next, kLoad, relaxed, kPoolNextLoad, nxt);
-        idx = nxt;
+        idx = link(idx).next.load(std::memory_order_relaxed,
+                                  Site::kPoolNextLoad);
       }
       const std::uint64_t desired = pack(idx, tag_of(head) + 1);
       if (st_->head.compare_exchange_weak(head, desired,
                                           std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        WFL_CHK_ATOMIC(&st_->head, kCasOk, acq_rel, kPoolHeadCas, desired);
+                                          Site::kPoolHeadCas)) {
         for (std::uint32_t i = 0; i < got; ++i) {
           WFL_CHECK_MSG(
               link(out[i]).listed.exchange(0, std::memory_order_acq_rel) == 1,
@@ -185,7 +181,6 @@ class IndexPool {
         st_->freelist_ops.fetch_add(1, std::memory_order_relaxed);
         return got;
       }
-      WFL_CHK_ATOMIC(&st_->head, kCasFail, acquire, kPoolHeadCas, head);
     }
     return 0;
   }
@@ -203,26 +198,23 @@ class IndexPool {
           "IndexPool double free");
     }
     for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      link(idxs[i]).next.store(idxs[i + 1], std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&link(idxs[i]).next, kStore, relaxed, kPoolNextStore,
-                     idxs[i + 1]);
+      link(idxs[i]).next.store(idxs[i + 1], std::memory_order_relaxed,
+                               Site::kPoolNextStore);
     }
-    std::atomic<std::uint32_t>& tail = link(idxs[n - 1]).next;
-    std::uint64_t head = st_->head.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&st_->head, kLoad, acquire, kPoolHeadLoad, head);
+    race::Atomic<std::uint32_t>& tail = link(idxs[n - 1]).next;
+    std::uint64_t head =
+        st_->head.load(std::memory_order_acquire, Site::kPoolHeadLoad);
     for (;;) {
-      tail.store(index_of(head), std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&tail, kStore, relaxed, kPoolNextStore, index_of(head));
+      tail.store(index_of(head), std::memory_order_relaxed,
+                 Site::kPoolNextStore);
       const std::uint64_t desired = pack(idxs[0], tag_of(head) + 1);
       if (st_->head.compare_exchange_weak(head, desired,
                                           std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        WFL_CHK_ATOMIC(&st_->head, kCasOk, acq_rel, kPoolHeadCas, desired);
+                                          Site::kPoolHeadCas)) {
         st_->free_count.fetch_add(n, std::memory_order_relaxed);
         st_->freelist_ops.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      WFL_CHK_ATOMIC(&st_->head, kCasFail, acquire, kPoolHeadCas, head);
     }
   }
 
@@ -239,13 +231,15 @@ class IndexPool {
   T* ptr(std::uint32_t idx) { return &at(idx); }
 
  private:
+  using Site = race::Site;
+
   static constexpr std::uint32_t kSegBits = 8;
   static constexpr std::uint32_t kSegSize = 1u << kSegBits;
   static constexpr std::uint32_t kSegMask = kSegSize - 1;
 
   // A slot's freelist link and its membership bit (1 = on the freelist).
   struct Link {
-    std::atomic<std::uint32_t> next{kNullIndex};
+    race::Atomic<std::uint32_t> next{kNullIndex};
     std::atomic<std::uint8_t> listed{0};
   };
 
@@ -260,13 +254,9 @@ class IndexPool {
     std::uint64_t items_off = 0;  // arena placement: T[max_capacity]
     std::uint64_t links_off = 0;  // arena placement: Link[max_capacity]
     std::atomic<std::uint32_t> capacity{0};
-    alignas(kCacheLine) std::atomic<std::uint64_t> head{pack(kNullIndex, 0)};
+    alignas(kCacheLine) race::Atomic<std::uint64_t> head{pack(kNullIndex, 0)};
     alignas(kCacheLine) std::atomic<std::uint32_t> free_count{0};
     std::atomic<std::uint64_t> freelist_ops{0};
-
-    // head's first hooked access is a load: seed its shadow, so a pool in
-    // reused storage cannot alias a previous pool's tracked head.
-    State() { race::created(&head, pack(kNullIndex, 0)); }
   };
 
   static std::uint32_t round_up(std::uint32_t v) {

@@ -13,7 +13,8 @@
 // the global epoch below observed+2, so freeing at observed+2 is safe.
 //
 // Reclamation is not part of the algorithms' step accounting (DESIGN.md
-// substitution #2): all internals are raw std::atomic.
+// substitution #2): its words are race::Atomic (check/race.hpp), not
+// Plat::Atomic, so they cost no steps and each reports its contract Site.
 //
 // The domain splits in two halves. The LIVENESS half — global epoch,
 // participant count, per-participant announcement and liveness lease — is
@@ -84,28 +85,23 @@ class EbrDomain {
     // Owned-domain teardown implies quiescence; drain everything
     // unconditionally.
     for (std::uint32_t pid = 0; pid < sh_->max_participants; ++pid) {
-      WFL_CHECK_MSG(!sh_->part(pid).active.load(std::memory_order_relaxed),
+      WFL_CHECK_MSG(!sh_->part(pid).active.peek(),
                     "EbrDomain destroyed while a participant holds a guard");
       for (Bucket& bucket : local_[pid]->buckets) drain(bucket);
     }
-    sh_->destroy();
   }
 
   int register_participant() {
-    const int id =
-        sh_->next_participant.fetch_add(1, std::memory_order_acq_rel);
-    WFL_CHK_ATOMIC(&sh_->next_participant, kFetchAdd, acq_rel,
-                   kEbrParticipantCount, id + 1);
+    const int id = sh_->next_participant.fetch_add(
+        1, std::memory_order_acq_rel, Site::kEbrParticipantCount);
     WFL_CHECK_MSG(id < static_cast<int>(sh_->max_participants),
                   "EbrDomain participant capacity exceeded");
     return id;
   }
 
   int participant_count() const {
-    const int n = sh_->next_participant.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&sh_->next_participant, kLoad, acquire,
-                   kEbrParticipantCount, n);
-    return n;
+    return sh_->next_participant.load(std::memory_order_acquire,
+                                      Site::kEbrParticipantCount);
   }
 
   // Announce-then-verify, restructured for the guard hot path (an attempt
@@ -132,25 +128,20 @@ class EbrDomain {
   // the crash/chaos tests.
   void enter(int pid) {
     Participant& p = part(pid);
-    WFL_CHECK_MSG(!p.active.load(std::memory_order_relaxed),
+    WFL_CHECK_MSG(!p.active.peek(),
                   "EBR enter() while already in a critical region");
-    p.active.store(true, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&p.active, kStore, relaxed, kEbrAnnounce, 1);
-    std::atomic_thread_fence(std::memory_order_seq_cst);  // publication point
-    WFL_CHK_FENCE(seq_cst, kEbrPublishFence);
-    std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrVerifyLoad, e);
-    const std::uint64_t mine = p.epoch.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&p.epoch, kLoad, relaxed, kEbrEpochSelfLoad, mine);
-    if (e == mine) return;
+    p.active.store(true, std::memory_order_relaxed, Site::kEbrAnnounce);
+    race::fence(std::memory_order_seq_cst, Site::kEbrPublishFence);
+    std::uint64_t e =
+        sh_->global_epoch.load(std::memory_order_seq_cst, Site::kEbrVerifyLoad);
+    if (e == p.epoch.load(std::memory_order_relaxed, Site::kEbrEpochSelfLoad)) {
+      return;
+    }
     for (;;) {
-      p.epoch.store(e, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&p.epoch, kStore, relaxed, kEbrEpochAnnounce, e);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      WFL_CHK_FENCE(seq_cst, kEbrPublishFence);
-      const std::uint64_t e2 =
-          sh_->global_epoch.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrVerifyLoad, e2);
+      p.epoch.store(e, std::memory_order_relaxed, Site::kEbrEpochAnnounce);
+      race::fence(std::memory_order_seq_cst, Site::kEbrPublishFence);
+      const std::uint64_t e2 = sh_->global_epoch.load(
+          std::memory_order_seq_cst, Site::kEbrVerifyLoad);
       if (e2 == e) return;
       e = e2;
     }
@@ -158,12 +149,11 @@ class EbrDomain {
 
   void exit(int pid) {
     Participant& p = part(pid);
-    WFL_CHECK(p.active.load(std::memory_order_relaxed));
+    WFL_CHECK(p.active.peek());
     // Release: the guard's critical-section reads are sequenced before this
     // store, and a collector's seq_cst scan that observes false acquires
     // it, so retired objects are freed only after our reads completed.
-    p.active.store(false, std::memory_order_release);
-    WFL_CHK_ATOMIC(&p.active, kStore, release, kEbrExit, 0);
+    p.active.store(false, std::memory_order_release, Site::kEbrExit);
   }
 
   // Crash support: drops `pid`'s guard (if held) on its behalf. ONLY legal
@@ -175,8 +165,8 @@ class EbrDomain {
   // this before tearing the domain down; it also un-stalls reclamation for
   // any post-crash measurement phase.
   void abandon(int pid) {
-    part(pid).active.store(false, std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&part(pid).active, kStore, seq_cst, kEbrAbandon, 0);
+    part(pid).active.store(false, std::memory_order_seq_cst,
+                           Site::kEbrAbandon);
   }
 
   // Liveness lease (the shm table's crash detection, DESIGN.md §10.2):
@@ -201,8 +191,8 @@ class EbrDomain {
   // the epoch observed here. See the safety contract above.
   void retire(int pid, void* ctx, std::uint32_t handle, Deleter deleter) {
     Local& l = local(pid);
-    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrRetireEpochLoad, e);
+    const std::uint64_t e = sh_->global_epoch.load(
+        std::memory_order_seq_cst, Site::kEbrRetireEpochLoad);
     Bucket& b = l.buckets[e % kBuckets];
     if (!b.items.empty() && b.epoch != e) {
       // Same slot, older epoch: epochs sharing a slot differ by >= kBuckets,
@@ -220,27 +210,18 @@ class EbrDomain {
 
   // Attempts an epoch advance, then frees this participant's safe buckets.
   void collect(int pid) {
-    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrCollectEpochLoad,
-                   e);
+    const std::uint64_t e = sh_->global_epoch.load(
+        std::memory_order_seq_cst, Site::kEbrCollectEpochLoad);
     if (all_participants_at(e)) {
       std::uint64_t expected = e;  // racing collectors: one advance per value
-      const bool advanced = sh_->global_epoch.compare_exchange_strong(
-          expected, e + 1, std::memory_order_seq_cst);
-      if (advanced) {
-        WFL_CHK_ATOMIC(&sh_->global_epoch, kCasOk, seq_cst,
-                       kEbrEpochAdvanceCas, e + 1);
-      } else {
-        WFL_CHK_ATOMIC(&sh_->global_epoch, kCasFail, seq_cst,
-                       kEbrEpochAdvanceCas, expected);
-      }
+      sh_->global_epoch.compare_exchange_strong(
+          expected, e + 1, std::memory_order_seq_cst,
+          Site::kEbrEpochAdvanceCas);
     }
     free_safe_buckets(pid);
   }
 
-  std::uint64_t epoch() const {
-    return sh_->global_epoch.load(std::memory_order_relaxed);
-  }
+  std::uint64_t epoch() const { return sh_->global_epoch.peek(); }
 
   class Guard {
    public:
@@ -257,13 +238,15 @@ class EbrDomain {
   };
 
  private:
+  using Site = race::Site;
+
   static constexpr int kBuckets = 3;
   static constexpr int kCollectEvery = 16;
 
   // One participant's shared announcement plus its liveness lease.
   struct alignas(kCacheLine) Participant {
-    std::atomic<bool> active{false};
-    std::atomic<std::uint64_t> epoch{0};
+    race::Atomic<bool> active{false};
+    race::Atomic<std::uint64_t> epoch{0};
     std::atomic<int> os_pid{0};  // 0 = never bound
     std::atomic<std::uint64_t> lease{0};  // heartbeat counter, owner-bumped
   };
@@ -274,8 +257,8 @@ class EbrDomain {
   // line (and vice versa).
   struct alignas(kCacheLine) Shared {
     std::uint32_t max_participants = 0;
-    alignas(kCacheLine) std::atomic<std::uint64_t> global_epoch{0};
-    alignas(kCacheLine) std::atomic<int> next_participant{0};
+    alignas(kCacheLine) race::Atomic<std::uint64_t> global_epoch{0};
+    alignas(kCacheLine) race::Atomic<int> next_participant{0};
 
     static std::size_t bytes(int n) {
       WFL_CHECK(n > 0);
@@ -286,23 +269,11 @@ class EbrDomain {
       sh->max_participants = static_cast<std::uint32_t>(n);
       auto* parts = reinterpret_cast<Participant*>(sh + 1);
       for (int i = 0; i < n; ++i) new (parts + i) Participant();
-      // Lifetime hooks: owned domains are heap members of LockTables, so
-      // their raw atomics land on reused addresses across table
-      // generations; reset the analysis layer's shadow state.
-      race::created(&sh->global_epoch, 0);
-      race::created(&sh->next_participant, 0);
-      for (int i = 0; i < n; ++i) {
-        race::created(&parts[i].active, 0);
-        race::created(&parts[i].epoch, 0);
-      }
       return sh;
     }
-    void destroy() {
-      race::destroyed(&global_epoch);
-      race::destroyed(&next_participant);
+    ~Shared() {
       for (std::uint32_t i = 0; i < max_participants; ++i) {
-        race::destroyed(&part(i).active);
-        race::destroyed(&part(i).epoch);
+        part(i).~Participant();
       }
     }
     Participant& part(std::uint32_t pid) {
@@ -330,6 +301,7 @@ class EbrDomain {
 
   struct AlignedDelete {
     void operator()(Shared* p) const {
+      p->~Shared();
       ::operator delete(p, std::align_val_t{kCacheLine});
     }
   };
@@ -350,20 +322,19 @@ class EbrDomain {
     const int n = participant_count();
     for (int i = 0; i < n; ++i) {
       const Participant& p = part(i);
-      const bool act = p.active.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&p.active, kLoad, seq_cst, kEbrScanActive, act ? 1 : 0);
-      if (!act) continue;
-      const std::uint64_t pe = p.epoch.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&p.epoch, kLoad, seq_cst, kEbrScanEpoch, pe);
-      if (pe != e) return false;
+      if (!p.active.load(std::memory_order_seq_cst, Site::kEbrScanActive)) {
+        continue;
+      }
+      if (p.epoch.load(std::memory_order_seq_cst, Site::kEbrScanEpoch) != e) {
+        return false;
+      }
     }
     return true;
   }
 
   void free_safe_buckets(int pid) {
-    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrCollectEpochLoad,
-                   e);
+    const std::uint64_t e = sh_->global_epoch.load(
+        std::memory_order_seq_cst, Site::kEbrCollectEpochLoad);
     for (Bucket& b : local(pid).buckets) {
       if (!b.items.empty() && b.epoch + 2 <= e) drain(b);
     }

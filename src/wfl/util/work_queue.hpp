@@ -1,11 +1,11 @@
 // Lock-free scheduler plumbing: a Chase–Lev work-stealing deque and an
 // MPSC injector stack (the run-queue core of core/async_executor.hpp).
 //
-// Both structures are executor infrastructure — raw std::atomic outside
+// Both structures are executor infrastructure — race::Atomic outside
 // the paper's step model, like the rest of the async plumbing (DESIGN.md
-// substitution #2) — and every weakened-order operation is annotated with
-// its Site in check/ordering_contracts.hpp so CheckedPlat's ordering
-// audit covers them (the contracts quote the soundness arguments; the
+// substitution #2) — and every operation names its Site in
+// check/ordering_contracts.hpp so the race engine's ordering audit
+// covers them (the contracts quote the soundness arguments; the
 // long-form versions live in DESIGN.md §8).
 //
 // ChaseLevDeque<T*> (Chase & Lev 2005, memory orders per Lê et al. 2013,
@@ -62,13 +62,6 @@
 
 namespace wfl {
 
-namespace detail {
-template <typename P>
-std::uint64_t ptr_bits(P* p) {
-  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
-}
-}  // namespace detail
-
 template <typename T>
 class ChaseLevDeque {
   static_assert(std::is_pointer_v<T>,
@@ -77,24 +70,17 @@ class ChaseLevDeque {
 
  public:
   explicit ChaseLevDeque(std::size_t initial_capacity = 64)
-      : ring_(new Ring(round_up_pow2(initial_capacity))) {
-    race::created(&top_, 0);
-    race::created(&bottom_, 0);
-    race::created(&ring_, detail::ptr_bits(ring_.load()));
-  }
+      : ring_(new Ring(round_up_pow2(initial_capacity))) {}
 
   // Destruction requires quiescence (no concurrent owner or thieves) —
   // the executor joins its workers first.
   ~ChaseLevDeque() {
-    Ring* r = ring_.load(std::memory_order_relaxed);
+    Ring* r = ring_.peek();
     while (r != nullptr) {
       Ring* prev = r->prev;
       delete r;
       r = prev;
     }
-    race::destroyed(&top_);
-    race::destroyed(&bottom_);
-    race::destroyed(&ring_);
   }
 
   ChaseLevDeque(const ChaseLevDeque&) = delete;
@@ -102,55 +88,34 @@ class ChaseLevDeque {
 
   // Owner only. Never fails; grows the ring when full.
   void push(T x) {
-    const std::uint64_t b = bottom_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&bottom_, kLoad, relaxed, kWqBottomOwnLoad, b);
-    const std::uint64_t t = top_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&top_, kLoad, acquire, kWqTopLoad, t);
-    Ring* r = ring_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&ring_, kLoad, acquire, kWqRingLoad, detail::ptr_bits(r));
+    const std::uint64_t b = own_bottom();
+    const std::uint64_t t = load_top();
+    Ring* r = load_ring();
     if (b - t >= r->cap) r = grow(r, t, b);
-    r->at(b).store(x, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&r->at(b), kStore, relaxed, kWqSlot, detail::ptr_bits(x));
-    bottom_.store(b + 1, std::memory_order_release);
-    WFL_CHK_ATOMIC(&bottom_, kStore, release, kWqBottomPublish, b + 1);
+    r->at(b).store(x, std::memory_order_relaxed, Site::kWqSlot);
+    bottom_.store(b + 1, std::memory_order_release, Site::kWqBottomPublish);
   }
 
   // Owner only. LIFO (newest first — cache warmth; the steal side is the
   // FIFO end). Returns nullptr when empty.
   T take() {
-    const std::uint64_t b =
-        bottom_.load(std::memory_order_relaxed) - 1;
-    WFL_CHK_ATOMIC(&bottom_, kLoad, relaxed, kWqBottomOwnLoad, b + 1);
-    Ring* r = ring_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&ring_, kLoad, acquire, kWqRingLoad, detail::ptr_bits(r));
-    bottom_.store(b, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&bottom_, kStore, relaxed, kWqBottomReserve, b);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    WFL_CHK_FENCE(seq_cst, kWqFence);
-    std::uint64_t t = top_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&top_, kLoad, acquire, kWqTopLoad, t);
+    const std::uint64_t b = own_bottom() - 1;
+    Ring* r = load_ring();
+    bottom_.store(b, std::memory_order_relaxed, Site::kWqBottomReserve);
+    race::fence(std::memory_order_seq_cst, Site::kWqFence);
+    std::uint64_t t = load_top();
     T x = nullptr;
     if (static_cast<std::int64_t>(t) <= static_cast<std::int64_t>(b)) {
-      x = r->at(b).load(std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&r->at(b), kLoad, relaxed, kWqSlot,
-                     detail::ptr_bits(x));
+      x = r->at(b).load(std::memory_order_relaxed, Site::kWqSlot);
       if (t == b) {
         // Last element: race the thieves for it on top.
-        if (top_.compare_exchange_strong(t, t + 1,
-                                         std::memory_order_seq_cst,
-                                         std::memory_order_seq_cst)) {
-          WFL_CHK_ATOMIC(&top_, kCasOk, seq_cst, kWqTopCas, b + 1);
-        } else {
-          WFL_CHK_ATOMIC(&top_, kCasFail, seq_cst, kWqTopCas, t);
-          x = nullptr;  // a thief won it
-        }
-        bottom_.store(b + 1, std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&bottom_, kStore, relaxed, kWqBottomReserve, b + 1);
+        if (!cas_top(t)) x = nullptr;  // a thief won it
+        bottom_.store(b + 1, std::memory_order_relaxed,
+                      Site::kWqBottomReserve);
       }
     } else {
       // Empty: undo the reservation.
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&bottom_, kStore, relaxed, kWqBottomReserve, b + 1);
+      bottom_.store(b + 1, std::memory_order_relaxed, Site::kWqBottomReserve);
     }
     return x;
   }
@@ -159,62 +124,62 @@ class ChaseLevDeque {
   // it lost the top CAS to a rival — a lost race means the element went
   // to someone, so callers treat nullptr as "try the next victim".
   T steal() {
-    std::uint64_t t = top_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&top_, kLoad, acquire, kWqTopLoad, t);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    WFL_CHK_FENCE(seq_cst, kWqFence);
-    const std::uint64_t b = bottom_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&bottom_, kLoad, acquire, kWqBottomStealLoad, b);
+    std::uint64_t t = load_top();
+    race::fence(std::memory_order_seq_cst, Site::kWqFence);
+    const std::uint64_t b =
+        bottom_.load(std::memory_order_acquire, Site::kWqBottomStealLoad);
     if (static_cast<std::int64_t>(t) >= static_cast<std::int64_t>(b)) {
       return nullptr;  // empty
     }
-    Ring* r = ring_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&ring_, kLoad, acquire, kWqRingLoad, detail::ptr_bits(r));
-    T x = r->at(t).load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&r->at(t), kLoad, relaxed, kWqSlot, detail::ptr_bits(x));
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_seq_cst)) {
-      WFL_CHK_ATOMIC(&top_, kCasFail, seq_cst, kWqTopCas, t);
-      return nullptr;  // lost to the owner or another thief
-    }
-    WFL_CHK_ATOMIC(&top_, kCasOk, seq_cst, kWqTopCas, t + 1);
+    T x = load_ring()->at(t).load(std::memory_order_relaxed, Site::kWqSlot);
+    if (!cas_top(t)) return nullptr;  // lost to the owner or another thief
     return x;
   }
 
   // Owner-side size estimate (exact for the owner between its own ops;
   // a lower bound otherwise — thieves only shrink it).
   std::size_t size_approx() const {
-    const std::uint64_t b = bottom_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&bottom_, kLoad, relaxed, kWqBottomOwnLoad, b);
-    const std::uint64_t t = top_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&top_, kLoad, acquire, kWqTopLoad, t);
+    const std::uint64_t b = own_bottom();
+    const std::uint64_t t = load_top();
     const auto d = static_cast<std::int64_t>(b) - static_cast<std::int64_t>(t);
     return d > 0 ? static_cast<std::size_t>(d) : 0;
   }
 
   std::size_t capacity() const {
-    return static_cast<std::size_t>(
-        ring_.load(std::memory_order_acquire)->cap);
+    return static_cast<std::size_t>(load_ring()->cap);
   }
   std::uint64_t grows() const { return grows_; }
 
  private:
+  using Site = race::Site;
+
   struct Ring {
     explicit Ring(std::uint64_t c)
-        : cap(c), mask(c - 1), slots(new std::atomic<T>[c]()) {
-      for (std::uint64_t i = 0; i < cap; ++i) race::created(&slots[i], 0);
-    }
-    ~Ring() {
-      for (std::uint64_t i = 0; i < cap; ++i) race::destroyed(&slots[i]);
-      delete[] slots;
-    }
-    std::atomic<T>& at(std::uint64_t i) { return slots[i & mask]; }
+        : cap(c), mask(c - 1), slots(new race::Atomic<T>[c]) {}
+    ~Ring() { delete[] slots; }
+    race::Atomic<T>& at(std::uint64_t i) { return slots[i & mask]; }
 
     const std::uint64_t cap;
     const std::uint64_t mask;
-    std::atomic<T>* slots;
+    race::Atomic<T>* slots;
     Ring* prev = nullptr;  // retired predecessor, freed at destruction
   };
+
+  // The owner's read of its own bottom (it is bottom's only writer).
+  std::uint64_t own_bottom() const {
+    return bottom_.load(std::memory_order_relaxed, Site::kWqBottomOwnLoad);
+  }
+  std::uint64_t load_top() const {
+    return top_.load(std::memory_order_acquire, Site::kWqTopLoad);
+  }
+  Ring* load_ring() const {
+    return ring_.load(std::memory_order_acquire, Site::kWqRingLoad);
+  }
+  // Claims element t: exactly one of the racers that read top == t wins.
+  bool cas_top(std::uint64_t& t) {
+    return top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+                                        Site::kWqTopCas);
+  }
 
   static std::uint64_t round_up_pow2(std::size_t n) {
     std::uint64_t c = 2;
@@ -227,35 +192,28 @@ class ChaseLevDeque {
   Ring* grow(Ring* r, std::uint64_t t, std::uint64_t b) {
     Ring* nr = new Ring(r->cap * 2);
     for (std::uint64_t i = t; i != b; ++i) {
-      const T v = r->at(i).load(std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&r->at(i), kLoad, relaxed, kWqSlot, detail::ptr_bits(v));
-      nr->at(i).store(v, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&nr->at(i), kStore, relaxed, kWqSlot,
-                     detail::ptr_bits(v));
+      nr->at(i).store(r->at(i).load(std::memory_order_relaxed, Site::kWqSlot),
+                      std::memory_order_relaxed, Site::kWqSlot);
     }
     nr->prev = r;
-    ring_.store(nr, std::memory_order_release);
-    WFL_CHK_ATOMIC(&ring_, kStore, release, kWqRingPublish,
-                   detail::ptr_bits(nr));
+    ring_.store(nr, std::memory_order_release, Site::kWqRingPublish);
     ++grows_;
     return nr;
   }
 
-  std::atomic<std::uint64_t> top_{0};
-  std::atomic<std::uint64_t> bottom_{0};
-  std::atomic<Ring*> ring_;
+  race::Atomic<std::uint64_t> top_{0};
+  race::Atomic<std::uint64_t> bottom_{0};
+  race::Atomic<Ring*> ring_;
   std::uint64_t grows_ = 0;  // owner-only bookkeeping
 };
 
-// Intrusive MPSC stack: T must expose `std::atomic<T*> q_next`.
+// Intrusive MPSC stack: T must expose `race::Atomic<T*> q_next`.
+// Destruction requires quiescence; pending nodes are the caller's to drain
+// (the executor's shutdown empties every queue first).
 template <typename T>
 class MpscInjector {
  public:
-  MpscInjector() { race::created(&head_, 0); }
-
-  // Destruction requires quiescence; pending nodes are the caller's to
-  // drain (the executor's shutdown empties every queue first).
-  ~MpscInjector() { race::destroyed(&head_); }
+  MpscInjector() = default;
 
   MpscInjector(const MpscInjector&) = delete;
   MpscInjector& operator=(const MpscInjector&) = delete;
@@ -263,48 +221,30 @@ class MpscInjector {
   // Any thread. Lock-free; ABA-immune (never dereferences the observed
   // head). seq_cst: the producer half of the executor's sleep Dekker.
   void push(T* n) {
-    T* h = head_.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&head_, kLoad, seq_cst, kInjPushCas, detail::ptr_bits(h));
-    for (;;) {
-      n->q_next.store(h, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&n->q_next, kStore, relaxed, kInjNext,
-                     detail::ptr_bits(h));
-      if (head_.compare_exchange_weak(h, n, std::memory_order_seq_cst,
-                                      std::memory_order_seq_cst)) {
-        WFL_CHK_ATOMIC(&head_, kCasOk, seq_cst, kInjPushCas,
-                       detail::ptr_bits(n));
-        return;
-      }
-      WFL_CHK_ATOMIC(&head_, kCasFail, seq_cst, kInjPushCas,
-                     detail::ptr_bits(h));
-    }
+    T* h = head_.load(std::memory_order_seq_cst, Site::kInjPushCas);
+    do {
+      n->q_next.store(h, std::memory_order_relaxed, Site::kInjNext);
+    } while (!head_.compare_exchange_weak(h, n, std::memory_order_seq_cst,
+                                          Site::kInjPushCas));
   }
 
   // SINGLE consumer (external discipline). FIFO per producer: the first
   // empty-cache pop exchanges the whole pushed batch out and reverses it.
   T* pop() {
     if (fifo_ == nullptr) {
-      T* batch = head_.exchange(nullptr, std::memory_order_acq_rel);
-      WFL_CHK_ATOMIC(&head_, kExchange, acq_rel, kInjTakeAll, 0);
+      T* batch =
+          head_.exchange(nullptr, std::memory_order_acq_rel, Site::kInjTakeAll);
       while (batch != nullptr) {
-        T* next = batch->q_next.load(std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&batch->q_next, kLoad, relaxed, kInjNext,
-                       detail::ptr_bits(next));
-        batch->q_next.store(fifo_, std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&batch->q_next, kStore, relaxed, kInjNext,
-                       detail::ptr_bits(fifo_));
+        T* next = batch->q_next.load(std::memory_order_relaxed, Site::kInjNext);
+        batch->q_next.store(fifo_, std::memory_order_relaxed, Site::kInjNext);
         fifo_ = batch;
         batch = next;
       }
     }
     T* n = fifo_;
     if (n != nullptr) {
-      T* next = n->q_next.load(std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&n->q_next, kLoad, relaxed, kInjNext,
-                     detail::ptr_bits(next));
-      fifo_ = next;
-      n->q_next.store(nullptr, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&n->q_next, kStore, relaxed, kInjNext, 0);
+      fifo_ = n->q_next.load(std::memory_order_relaxed, Site::kInjNext);
+      n->q_next.store(nullptr, std::memory_order_relaxed, Site::kInjNext);
     }
     return n;
   }
@@ -317,9 +257,8 @@ class MpscInjector {
   // never dereferences what it read, and rival drains get disjoint
   // chains.
   T* drain_all() {
-    T* chain = head_.exchange(nullptr, std::memory_order_acq_rel);
-    WFL_CHK_ATOMIC(&head_, kExchange, acq_rel, kInjTakeAll,
-                   detail::ptr_bits(chain));
+    T* chain =
+        head_.exchange(nullptr, std::memory_order_acq_rel, Site::kInjTakeAll);
     if (chain != nullptr) WFL_FUZZ_SITE(kSiteDrainAllRival);
     return chain;
   }
@@ -328,13 +267,13 @@ class MpscInjector {
   // half of the sleep Dekker (ordered after the set-idle store).
   bool empty() const {
     if (fifo_ != nullptr) return false;
-    T* h = head_.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&head_, kLoad, seq_cst, kInjPeek, detail::ptr_bits(h));
-    return h == nullptr;
+    return head_.load(std::memory_order_seq_cst, Site::kInjPeek) == nullptr;
   }
 
  private:
-  std::atomic<T*> head_{nullptr};
+  using Site = race::Site;
+
+  race::Atomic<T*> head_{nullptr};
   T* fifo_ = nullptr;  // consumer-private reversed batch
 };
 

@@ -281,5 +281,116 @@ TEST(Race, DeterministicReproducer) {
       << a.second;
 }
 
+// --- 8. race::Atomic reports the operation that ran. ---
+//
+// The engine's shadow for a word is the value its last hooked operation
+// reported: the value written (store, successful CAS, exchange, the post
+// value of an RMW) or observed (load, failed CAS).
+
+TEST(Race, AtomicReportsTheOperationThatRan) {
+  RaceEngine eng;
+  eng.install();
+  race::Atomic<std::uint64_t> a{5};
+  constexpr auto kSc = std::memory_order_seq_cst;
+  constexpr auto kSite = race::Site::kUnknown;
+  EXPECT_EQ(eng.shadow_of(&a), 5u) << "construction seeds the shadow";
+
+  std::uint64_t expect = 5;
+  ASSERT_TRUE(a.compare_exchange_strong(expect, 9, kSc, kSite));
+  EXPECT_EQ(eng.shadow_of(&a), 9u) << "a successful CAS reports desired";
+
+  expect = 5;  // stale
+  ASSERT_FALSE(a.compare_exchange_strong(expect, 11, kSc, kSite));
+  EXPECT_EQ(expect, 9u);
+  EXPECT_EQ(eng.shadow_of(&a), 9u) << "a failed CAS reports the observed word";
+
+  EXPECT_EQ(a.exchange(20, kSc, kSite), 9u);
+  EXPECT_EQ(eng.shadow_of(&a), 20u) << "exchange reports the new value";
+
+  EXPECT_EQ(a.fetch_add(3, kSc, kSite), 20u);
+  EXPECT_EQ(eng.shadow_of(&a), 23u) << "fetch_add reports the post value";
+
+  EXPECT_EQ(a.fetch_sub(4, kSc, kSite), 23u);
+  EXPECT_EQ(eng.shadow_of(&a), 19u) << "fetch_sub reports the post value";
+
+  a.store(7, kSc, kSite);
+  EXPECT_EQ(a.load(kSc, kSite), 7u);
+  EXPECT_EQ(eng.shadow_of(&a), 7u);
+}
+
+// --- 9. race::Atomic's lifetime retires its address. ---
+//
+// A word destroyed and another constructed at the same address must start
+// from the new constructor's value: a load in the successor raises no
+// shadow finding against the predecessor's last write.
+
+TEST(Race, AtomicLifetimeRetiresReusedStorage) {
+  RaceEngine eng;
+  eng.install();
+  using Word = race::Atomic<std::uint64_t>;
+  alignas(Word) unsigned char storage[sizeof(Word)];
+  Simulator sim(5);
+  sim.add_process([&storage, &eng] {
+    auto* first = new (storage) Word(1);
+    first->store(0xAAAA, std::memory_order_relaxed,
+                 race::Site::kLogNoteUsed);
+    first->~Word();
+    EXPECT_FALSE(eng.shadow_of(storage).has_value())
+        << "destruction retires the address";
+    auto* second = new (storage) Word(2);
+    EXPECT_EQ(second->load(std::memory_order_relaxed,
+                           race::Site::kLogNoteUsed),
+              2u);
+    second->~Word();
+  });
+  RoundRobinSchedule sched(1);
+  ASSERT_TRUE(sim.run(sched, 1'000'000));
+  EXPECT_TRUE(eng.findings().empty()) << dump(eng);
+}
+
+// --- 10. Mutation on a converted plumbing site: async.state_cas. ---
+//
+// The AsyncOp state word hands an op between cycles, wakers and the
+// ticket (contract kAcqRelRmw). Weakening its RMWs to relaxed must be
+// reported at the first cycle an inline executor runs.
+
+TEST(Race, AsyncStateCasDowngradeCaught) {
+  RaceEngine eng;
+  eng.install();
+  eng.set_mutation({Mutation::Kind::kDowngradeOrder,
+                    race::Site::kAsyncStateCas, std::memory_order_relaxed});
+  LockConfig cfg;
+  cfg.delay_mode = DelayMode::kOff;
+  cfg.kappa = 2;
+  cfg.max_locks = 1;
+  Space space(cfg, 2, 1);
+  AsyncExecutor<CheckedPlat> exec(space, {.workers = 0});
+  Cell<CheckedPlat> counter{0};
+  Simulator sim(17);
+  for (int p = 0; p < 2; ++p) {
+    sim.add_process([&] {
+      Session<CheckedPlat> s(space);
+      AsyncClient<CheckedPlat> client(s);
+      StaticLockSet<1> lock({0}, cfg);
+      auto t = exec.async_submit(
+          client, lock, [&counter](IdemCtx<CheckedPlat>& m) {
+            m.store(counter, m.load(counter) + 1);
+          });
+      EXPECT_TRUE(t.wait().won);
+    });
+  }
+  RoundRobinSchedule sched(2);
+  ASSERT_TRUE(sim.run(sched, 10'000'000));
+  ASSERT_GE(count_kind(eng, "contract"), 1u) << dump(eng);
+  bool named = false;
+  for (const race::Finding& f : eng.findings()) {
+    if (f.message.find("async.state_cas") != std::string::npos &&
+        f.message.find("seed=17") != std::string::npos) {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named) << dump(eng);
+}
+
 }  // namespace
 }  // namespace wfl
